@@ -29,18 +29,27 @@ class CliConfig:
 
 
 def _env_terms() -> int:
-    return int(os.environ.get("MODFORMS_TERMS", DEFAULT_TERMS))
+    text = os.environ.get("MODFORMS_TERMS")
+    if text is None:
+        return DEFAULT_TERMS
+    try:
+        return int(text)
+    except ValueError:
+        raise ModformError(f"MODFORMS_TERMS={text!r} is not an integer") from None
 
 
 def _add_common(sub, tol: bool = False):
-    sub.add_argument("--terms", type=int, default=_env_terms(), help="truncation order N")
+    sub.add_argument(
+        "--terms", type=int, help=f"truncation order N (default: $MODFORMS_TERMS or {DEFAULT_TERMS})"
+    )
     sub.add_argument("--format", choices=("json", "text"), default="json")
     if tol:
         sub.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
 
 
 def _config(args) -> CliConfig:
-    cfg = CliConfig(args.terms, getattr(args, "tol", 1e-6), args.format)
+    terms = _env_terms() if args.terms is None else args.terms
+    cfg = CliConfig(terms, getattr(args, "tol", 1e-6), args.format)
     if cfg.terms < 1:
         raise ModformError("--terms must be >= 1")
     if cfg.tolerance <= 0:
@@ -48,8 +57,15 @@ def _config(args) -> CliConfig:
     return cfg
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ModformError(f"{text.strip()!r} is not a rational number") from None
+
+
 def _parse_fractions(text: str):
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    return [_fraction(part) for part in text.split(",") if part.strip()]
 
 
 def _named_form(name: str, terms: int) -> QExpansion:
@@ -92,7 +108,7 @@ def _cmd_qexp(args) -> int:
 def _cmd_serre(args) -> int:
     cfg = _config(args)
     f = _named_form(args.form, cfg.terms)
-    out = classical.serre_derivative(f, Fraction(args.weight), cfg.terms)
+    out = classical.serre_derivative(f, _fraction(args.weight), cfg.terms)
     return _emit(serialize.qexpansion_to_json(out), str(out), cfg)
 
 

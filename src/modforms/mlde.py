@@ -298,7 +298,8 @@ def mlde_from_exponents(exponents) -> MLDE:
     coeffs = []
     for j in range(p - 1):
         basis = monomial_basis(2 * (p - j))
-        assert len(basis) == 1
+        if len(basis) != 1:
+            raise OrderTooLarge(f"M_{2 * (p - j)} is not one-dimensional; supply coefficients")
         u, v = basis[0]
         coeffs.append(PolynomialQR.monomial(u, v, consts[j]))
     return MLDE.make(k0, p, coeffs)

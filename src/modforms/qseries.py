@@ -1,9 +1,18 @@
 """Truncated q-expansions with a fractional leading exponent.
 
 A series is stored as ``q^leading * (c_0 + c_1 q + ... + c_N q^N)`` where
-``leading`` is an exact rational and the c_n live either in the exact
-rational domain (`fractions.Fraction`, the default everywhere) or in the
-complex floating domain (used only for numeric evaluation and monodromy).
+``leading`` is an exact rational and every c_n is a `fractions.Fraction`.
+There is no floating-point coefficient domain: `evaluate` converts to
+complex on the fly, and float or complex coefficients are rejected.
+
+Products are computed over the integers.  Each operand's coefficients are
+scaled by the lcm of their denominators, the integer numerators are
+convolved, and every output coefficient is divided once by the product of
+the two lcms.  Short products use a schoolbook convolution that skips zero
+coefficients (eta products are sparse); from ``KRONECKER_CUTOFF`` terms on,
+both operands are packed into one integer each and multiplied once
+(Kronecker substitution), so the quadratic work happens inside CPython's
+big-integer multiply.
 
 Truncation is knowledge, not padding: terms beyond ``q^(leading+N)`` are
 unknown, and every arithmetic operation propagates the largest truncation
@@ -18,26 +27,80 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import CannotExtend, NonConvergent, NonIntegralOffset
 
 #: Truncation used by convenience constructors when none is given.
 DEFAULT_TERMS = 64
 
+#: Products with at least this many coefficients use Kronecker substitution,
+#: shorter ones the schoolbook convolution; measured in BENCH_2.json.
+KRONECKER_CUTOFF = 16
+
 _TWO_PI_I = 2j * math.pi
 
 
-def _coerce(c):
-    """Map a coefficient into one of the two supported domains."""
+def _coerce(c) -> Fraction:
+    """Map an exact scalar (Fraction, int or "num/den" string) to a Fraction."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (float, complex)):
-        return complex(c)
-    if isinstance(c, str):
+    if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _clear_denominators(coeffs) -> tuple[int, list[int]]:
+    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    if d == 1:
+        return 1, [c.numerator for c in coeffs]
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    """First len(a) coefficients of a*b (len(a) == len(b)), skipping zeros.
+
+    The operand with more zero coefficients drives the outer loop, so a
+    sparse factor such as the Euler product costs one pass per nonzero term.
+    """
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            out[i:] = map(add, out[i:], map(mul, repeat(x), b[: n - i]))
+    return out
+
+
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """First len(a) coefficients of a*b (len(a) == len(b)) by one big multiply.
+
+    Each operand becomes sum(c_i * 2^(w*i)) for a slot width w of whole
+    bytes with 2^(w-1) above every output coefficient, so no output digit
+    overflows its slot.  Slots are packed and read back through bytes with
+    an offset of 2^(w-1), which turns the signed digits into unsigned ones.
+    """
+    n = len(a)
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    if not top_a or not top_b:
+        return [0] * n
+    bound = top_a * top_b * n  # no less than top_a or top_b, so the inputs fit too
+    width = bound.bit_length() // 8 + 1  # bytes; 2^(8*width - 1) > bound
+    size = width * n
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little") * half
+    to_bytes, from_bytes = int.to_bytes, int.from_bytes
+
+    def pack(c):
+        return from_bytes(b"".join([to_bytes(x + half, width, "little") for x in c]), "little") - offset
+
+    # the low n slots of the product, each holding its digit + 2^(w-1)
+    low = (pack(a) * pack(b) + offset) & ((1 << (8 * size)) - 1)
+    raw = low.to_bytes(size, "little")
+    return [from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 @dataclass(frozen=True)
@@ -49,7 +112,7 @@ class QExpansion:
 
     @staticmethod
     def make(coeffs, leading=0) -> QExpansion:
-        """Build a series from any iterable of rationals/ints/complex."""
+        """Build a series from an iterable of Fractions, ints or "num/den" strings."""
         return QExpansion(Fraction(leading), tuple(_coerce(c) for c in coeffs))
 
     @staticmethod
@@ -74,7 +137,7 @@ class QExpansion:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, exponent) -> Fraction | complex:
+    def coefficient(self, exponent) -> Fraction:
         """Coefficient of q^exponent; zero below the leading term or off-lattice."""
         exponent = Fraction(exponent)
         if exponent > self.horizon:
@@ -111,21 +174,14 @@ class QExpansion:
             raise NonIntegralOffset(
                 f"cannot add series with leading exponents {self.leading} and {other.leading}"
             )
-        lead = min(self.leading, other.leading)
-        horizon = min(self.horizon, other.horizon)
-        n_out = int(horizon - lead)
-        coeffs = []
-        for n in range(n_out + 1):
-            e = lead + n
-            c = 0
-            da = int(e - self.leading)
-            if 0 <= da <= self.truncation_order:
-                c = c + self.coeffs[da]
-            db = int(e - other.leading)
-            if 0 <= db <= other.truncation_order:
-                c = c + other.coeffs[db]
-            coeffs.append(c)
-        return QExpansion(lead, tuple(_coerce(c) for c in coeffs))
+        low, high = (self, other) if offset <= 0 else (other, self)
+        n_out = int(min(self.horizon, other.horizon) - low.leading)
+        shift = int(high.leading - low.leading)
+        # the lower series is known everywhere the sum is; the higher one
+        # contributes from its leading exponent on
+        coeffs = list(low.coeffs[: n_out + 1])
+        coeffs[shift:] = map(add, coeffs[shift:], high.coeffs[: n_out + 1 - shift])
+        return QExpansion(low.leading, tuple(coeffs))
 
     def __sub__(self, other: QExpansion) -> QExpansion:
         return self + (-other)
@@ -134,18 +190,15 @@ class QExpansion:
         return QExpansion(self.leading, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, QExpansion):
-            n_out = min(self.truncation_order, other.truncation_order)
-            coeffs = [Fraction(0)] * (n_out + 1)
-            for i, a in enumerate(self.coeffs[: n_out + 1]):
-                if a == 0:
-                    continue
-                for j in range(min(n_out - i, other.truncation_order) + 1):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        coeffs[i + j] += a * b
-            return QExpansion(self.leading + other.leading, tuple(_coerce(c) for c in coeffs))
-        return self.scale(other)
+        if not isinstance(other, QExpansion):
+            return self.scale(other)
+        n = min(len(self.coeffs), len(other.coeffs))
+        da, a = _clear_denominators(self.coeffs[:n])
+        db, b = _clear_denominators(other.coeffs[:n])
+        product = _schoolbook(a, b) if n < KRONECKER_CUTOFF else _kronecker(a, b)
+        d = da * db
+        coeffs = map(Fraction, product) if d == 1 else (Fraction(c, d) for c in product)
+        return QExpansion(self.leading + other.leading, tuple(coeffs))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -155,13 +208,13 @@ class QExpansion:
         if c == 0:
             # zero on the same lattice, so no horizon knowledge is lost
             return QExpansion(self.leading, (Fraction(0),) * len(self.coeffs))
-        return QExpansion(self.leading, tuple(_coerce(c * a) for a in self.coeffs))
+        return QExpansion(self.leading, tuple(c * a for a in self.coeffs))
 
     def theta(self) -> QExpansion:
         """q d/dq: multiply the coefficient of q^(leading+n) by leading+n."""
         return QExpansion(
             self.leading,
-            tuple(_coerce((self.leading + n) * c) for n, c in enumerate(self.coeffs)),
+            tuple((self.leading + n) * c for n, c in enumerate(self.coeffs)),
         )
 
     def truncate(self, order: int) -> QExpansion:

@@ -1,8 +1,8 @@
 """JSON encoding with exact rationals as "num/den" strings, never floats.
 
-Round trips are byte-stable for rational payloads: encoding, decoding, and
-re-encoding reproduces the same document.  Complex numbers (numeric-domain
-coefficients, monodromy matrices) appear as [re, im] pairs.
+Round trips are byte-stable: encoding, decoding, and re-encoding reproduces
+the same document.  Series coefficients are always exact rationals; complex
+numbers appear only in monodromy matrices, as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ def fraction_to_json(x) -> str:
     return str(Fraction(x))
 
 
-def coeff_to_json(c):
-    if isinstance(c, complex):
-        return [c.real, c.imag]
+def coeff_to_json(c) -> str:
     return str(c)
 
 
-def coeff_from_json(c):
-    if isinstance(c, list):
-        return complex(c[0], c[1])
+def coeff_from_json(c) -> Fraction:
     return Fraction(c)
 
 

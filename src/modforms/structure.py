@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .classical import EtaPower, PolynomialQR, dim_M, monomial_basis, to_qexpansion
-from .errors import DependentGenerators, NotIndecomposable, OutOfRange
+from .errors import DependentGenerators, InsufficientTruncation, NotIndecomposable, OutOfRange
 from .vvmf import VVMF, validate
 
 #: Denominator of every series here, as dense ascending coefficients.
@@ -105,9 +105,14 @@ def ps_cyclic(k0: int, p: int) -> PoincareSeries:
 
 
 def ps_coefficient(ps: PoincareSeries, w: int) -> int:
-    """Coefficient of t^w: the dimension of the weight-w graded piece."""
-    if w < 0:
-        raise ValueError("weight must be nonnegative")
+    """Coefficient of t^w: the dimension of the weight-w graded piece.
+
+    Negative weights are allowed from the lowest generator weight on (a
+    fundamental system can have k_0 < 0); below it they are rejected.
+    """
+    lowest = ps.numerator[0][0] if ps.numerator else 0
+    if w < min(lowest, 0):
+        raise ValueError(f"weight {w} is below every generator weight")
     return sum(c * _dim(w - e) for e, c in ps.numerator)
 
 
@@ -208,7 +213,9 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     multiples of the generators and checks, in exact arithmetic, that they
     are linearly independent; the count then automatically matches the
     Poincare coefficient.  Consistency up to k_max is evidence, not a proof,
-    of freeness.
+    of freeness.  Raises InsufficientTruncation when a weight has more
+    candidate multiples than known coefficients, since rank could then never
+    reach the member count whatever the generators are.
     """
     gens = list(generators)
     if not gens:
@@ -237,6 +244,12 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
                 members.append((i, u, v))
         if not members:
             continue
+        columns = rep.p * (depth + 1)
+        if columns < len(members):
+            raise InsufficientTruncation(
+                f"weight {w} has {len(members)} candidate multiples but only {columns} "
+                f"known coefficients; raise the truncation above {depth}"
+            )
         rows = []
         for i, u, v in members:
             mono = to_qexpansion(PolynomialQR.monomial(u, v), depth)

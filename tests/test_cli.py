@@ -102,3 +102,28 @@ def test_monodromy_from_mlde_file(tmp_path, capsys):
     assert main(["monodromy", "--mlde", str(path), "--terms", "64"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["relations"]["sign"] == 1
+
+
+def test_short_truncation_is_not_a_verdict(capsys):
+    argv = ["verify-basis", "--mlde", "0,5/6", "--kmax", "120", "--terms", "6"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InsufficientTruncation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mlde", "solve", "--exponents", "1/0"],
+        ["serre", "--form", "delta", "--weight", "1/0", "--terms", "4"],
+    ],
+    ids=["exponents", "weight"],
+)
+def test_zero_denominator_is_a_json_error(capsys, argv):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
+
+
+def test_bad_terms_env_var_is_a_json_error(capsys, monkeypatch):
+    monkeypatch.setenv("MODFORMS_TERMS", "abc")
+    assert main(["qexp", "--form", "Q"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"

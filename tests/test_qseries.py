@@ -3,11 +3,11 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modforms.errors import CannotExtend, NonConvergent, NonIntegralOffset
-from modforms.qseries import QExpansion
+from modforms.qseries import KRONECKER_CUTOFF, QExpansion
 
 F = Fraction
 
@@ -23,8 +23,9 @@ def series(*coeffs, leading=0):
 def test_make_coerces_scalars():
     f = series(1, "5/6", F(2, 3))
     assert f.coeffs == (F(1), F(5, 6), F(2, 3))
-    g = series(1.5, 2)
-    assert isinstance(g.coeffs[0], complex)
+    # exact coefficients only: there is no floating-point domain
+    with pytest.raises(TypeError):
+        series(1.5, 2)
 
 
 def test_coefficient_lattice():
@@ -160,3 +161,55 @@ def test_theta_is_a_derivation(a, b):
     lhs = (f * g).theta().truncate(n)
     rhs = (f.theta() * g + f * g.theta()).truncate(n)
     assert lhs == rhs
+
+
+# -- the integer multiply kernel against the Fraction convolution it replaced --
+
+def fraction_convolution(f: QExpansion, g: QExpansion) -> QExpansion:
+    """Reference product: coefficient pairs multiplied in Fraction arithmetic."""
+    n_out = min(f.truncation_order, g.truncation_order)
+    coeffs = [Fraction(0)] * (n_out + 1)
+    for i, a in enumerate(f.coeffs[: n_out + 1]):
+        if a == 0:
+            continue
+        for j in range(min(n_out - i, g.truncation_order) + 1):
+            b = g.coeffs[j]
+            if b != 0:
+                coeffs[i + j] += a * b
+    return QExpansion(f.leading + g.leading, tuple(coeffs))
+
+
+# 1000003 and 2^89 - 1 are prime
+DENOMINATORS = (1, 12, 1728, 1000003, 2**89 - 1)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Series on both sides of the Kronecker cutoff: dense, sparse or zero,
+    integral or over mixed denominators, up to hundreds of bits per coefficient."""
+    n = draw(st.integers(1, 2 * KRONECKER_CUTOFF + 8))
+    shape = draw(st.sampled_from(("dense", "sparse", "zero")))
+    top = 2 ** draw(st.sampled_from((1, 20, 64, 400)))
+    denominators = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=1, max_size=3))
+    coeff = st.builds(Fraction, st.integers(-top, top), st.sampled_from(denominators))
+    if shape == "sparse":
+        coeff = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), coeff)
+    elif shape == "zero":
+        coeff = st.just(Fraction(0))
+    leading = draw(st.fractions(min_value=0, max_value=3, max_denominator=24))
+    return QExpansion(leading, tuple(draw(st.lists(coeff, min_size=n, max_size=n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands(), kernel_operands())
+@example(
+    QExpansion.make([2**300 - 1] * (KRONECKER_CUTOFF + 5), F(1, 12)),
+    QExpansion.make([F(-(2**299), 1728)] * (KRONECKER_CUTOFF + 9), F(5, 6)),
+)
+@example(QExpansion.zero(KRONECKER_CUTOFF + 3), QExpansion.make(range(1, KRONECKER_CUTOFF + 2)))
+@example(QExpansion.make([F(1, 2**89 - 1)]), QExpansion.make([F(-7, 12), 5]))
+def test_mul_matches_fraction_convolution(f, g):
+    expected = fraction_convolution(f, g)
+    for product in (f * g, g * f):
+        assert product == expected
+        assert all(type(c) is Fraction for c in product.coeffs)

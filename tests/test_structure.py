@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from modforms.classical import dim_M, eisenstein, delta
-from modforms.errors import DependentGenerators, NotIndecomposable, OutOfRange
+from modforms.errors import (
+    DependentGenerators,
+    InsufficientTruncation,
+    NotIndecomposable,
+    OutOfRange,
+)
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import (
     FundamentalWeights,
@@ -155,3 +160,27 @@ def test_cyclic_criterion(cyclic_system):
     rep = RepData.make([0, 0])
     collide = VVMF.make(4, rep, [eisenstein("Q", 16), eisenstein("R", 16)])
     assert not cyclic_criterion(collide)
+
+
+def test_free_basis_negative_k0():
+    # exponents 0, 1/12, 2/12 give k0 = -1: generators of weight -1, 1, 3
+    eq = mlde_from_exponents([0, F(1, 12), F(2, 12)])
+    assert eq.weight == -1
+    generators = [fundamental_system(eq, 24)]
+    for _ in range(2):
+        generators.append(serre_vvmf(generators[-1]))
+    report = free_basis_verify(generators, 16, 24)
+    assert report.ok and report.rank == 3
+    series = ps_cyclic(-1, 3)
+    expected = [(w, ps_coefficient(series, w)) for w in range(-1, 17)]
+    assert list(report.dims) == [(w, d) for w, d in expected if d]
+    assert ps_coefficient(series, -1) == 1
+    with pytest.raises(ValueError):
+        ps_coefficient(series, -3)
+
+
+def test_free_basis_refuses_short_truncation():
+    # weight 88 has 15 candidate multiples of F, DF but only 2 * 7 coefficients
+    system = fundamental_system(mlde_from_exponents([0, F(5, 6)]), 6)
+    with pytest.raises(InsufficientTruncation):
+        free_basis_verify([system, serre_vvmf(system)], 120, 6)
