@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AmbiguousTruncation, NotInM, OddWeight
-from .qseries import DEFAULT_TERMS, QExpansion
+from .qseries import DEFAULT_TERMS, QExpansion, _clear_denominators, _coerce, _int_product
 
 
 def _sigma(power: int, n: int) -> int:
@@ -263,12 +263,34 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
 
 
 def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
-    """D(f) = theta(f) + k P f, with f regarded at weight k; raises weight by 2."""
-    p2 = eisenstein("P", f.truncation_order)
-    out = f.theta() + (p2 * f).scale(k)
-    if terms is not None and terms < out.truncation_order:
-        out = out.truncate(terms)
-    return out
+    """D(f) = theta(f) + k P f, with f regarded at weight k; raises weight by 2.
+
+    Computed in one integer pass: with f = q^(r/s) sum A_n q^n / d (A_n
+    integers) and k = k_num / k_den, coefficient n is
+
+        [12 k_den (r + s n) A_n + s k_num (12P * A)_n] / (12 s k_den d),
+
+    where 12P = -1 + 24 sum sigma_1(n) q^n has integer coefficients.
+    """
+    k = _coerce(k)
+    n = f.truncation_order
+    twelve_p = eisenstein("P", n).coeffs
+    if terms is not None and terms < n:
+        f = f.truncate(terms)
+        n = terms
+    d, nums = _clear_denominators(f.coeffs)
+    _, p12 = _clear_denominators(twelve_p[: n + 1])  # the lcm is 12, from P's -1/12
+    conv = _int_product(nums, p12)
+    r, s = f.leading.numerator, f.leading.denominator
+    theta_scale, p_scale = 12 * k.denominator, s * k.numerator
+    den = 12 * s * k.denominator * d
+    return QExpansion(
+        f.leading,
+        tuple(
+            Fraction(theta_scale * (r + s * i) * x + p_scale * c, den)
+            for i, (x, c) in enumerate(zip(nums, conv))
+        ),
+    )
 
 
 def serre_derivative_poly(m: PolynomialQR) -> PolynomialQR:

@@ -10,19 +10,23 @@ with no D^{p-1} term since M_2 = 0.  Its indicial polynomial at the cusp is
               + sum_j g_j(oo) prod_{l<j} (lambda - (k_0+2l)/12),
 
 whose roots are the leading exponents of a fundamental system.  The solver
-runs the Frobenius recursion in exact rational arithmetic; the converse
-direction rebuilds the operator from prescribed exponents while the
-coefficient spaces M_4..M_10 are one-dimensional.
+runs the Frobenius recursion exactly: its table of D^j f coefficients is
+kept as integer numerators over one denominator per column, so the O(p N^2)
+convolutions are integer dot products and only O(p N) steps touch
+Fractions.  The converse direction rebuilds the operator from prescribed
+exponents while the coefficient spaces M_4..M_10 are one-dimensional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import mul
 
 from . import skew
-from .classical import PolynomialQR, _sigma, monomial_basis, to_qexpansion
+from .classical import PolynomialQR, eisenstein, monomial_basis, to_qexpansion
 from .errors import (
     IrrationalRoots,
     NonIntegralWeight,
@@ -32,7 +36,7 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
-from .qseries import QExpansion
+from .qseries import QExpansion, _clear_denominators
 from .vvmf import VVMF, RepData
 
 
@@ -162,8 +166,8 @@ class IndicialData:
     all_rational: bool
 
 
-def indicial_polynomial(equation: MLDE) -> IndicialData:
-    """Exact indicial polynomial at the cusp and its rational roots."""
+def _indicial_coefficients(equation: MLDE) -> tuple:
+    """I(lambda) as Fractions, ascending in lambda."""
     offsets = equation.exponent_offsets()
     partial = [[Fraction(1)]]  # partial[j] = prod_{l<j} (lambda - offset_l)
     for w in offsets:
@@ -173,61 +177,83 @@ def indicial_polynomial(equation: MLDE) -> IndicialData:
         c = g.constant_term()
         if c:
             poly = _poly_add(poly, [x * c for x in partial[j]])
+    return tuple(poly)
+
+
+def indicial_polynomial(equation: MLDE) -> IndicialData:
+    """Exact indicial polynomial at the cusp and its rational roots."""
+    poly = _indicial_coefficients(equation)
     roots = _rational_roots(poly)
-    return IndicialData(tuple(poly), tuple(roots), len(roots) == equation.order)
+    return IndicialData(poly, tuple(roots), len(roots) == equation.order)
 
 
 def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
     """The unique solution q^root (1 + a_1 q + ...) by exact recursion.
 
     Coefficient n costs O(p n) convolution work; the whole call is O(p N^2).
+    That quadratic part runs on integers: each column of the D^j f table is
+    one common denominator and a list of int numerators, and every
+    convolution with 2 sigma_1 or with g_j is a C-level integer dot product.
+    Only the O(p) values of column n, a_n and I(root + n) are Fractions.
     Raises NotARoot if root misses the indicial polynomial and ResonantRoot
     if I(root + n) vanishes for some 1 <= n <= N.
     """
     root = Fraction(root)
-    ind = indicial_polynomial(equation)
-    if _poly_eval(list(ind.poly), root) != 0:
+    poly = _indicial_coefficients(equation)
+    if _poly_eval(poly, root) != 0:
         raise NotARoot(f"{root} is not an indicial root")
     p = equation.order
-    offsets = equation.exponent_offsets()
     weights = [equation.weight + 2 * l for l in range(p)]
-    gq = []
-    for g in equation.coeffs:
-        series = to_qexpansion(g, n_terms)
-        gq.append([series.coefficient(n) for n in range(n_terms + 1)])
-    sig = [Fraction(0)] + [Fraction(2 * _sigma(1, m)) for m in range(1, n_terms + 1)]
+    # Integer tables are stored reversed, so that table[N - n:] starts with
+    # the coefficient of q^n and runs down to q^1 (or q^0) as a slice.
+    sig = [c.numerator for c in eisenstein("P", n_terms).coeffs[:0:-1]]  # 2 sigma_1(m)
+    gq = []  # (j, g_j(oo), common denominator, reversed numerators)
+    for j, g in enumerate(equation.coeffs):
+        if g.is_zero:
+            continue
+        coeffs = to_qexpansion(g, n_terms).coeffs
+        den, nums = _clear_denominators(coeffs)
+        gq.append((j, coeffs[0], den, nums[::-1]))
 
-    # b[j][n] = coefficient n of D^j f; column n is filled with a_n = 0 first,
-    # then corrected once a_n is known (its I(root+n) multiple is exactly what
-    # the tentative pass leaves out).
-    b = [[Fraction(0)] * (n_terms + 1) for _ in range(p + 1)]
-    b[0][0] = Fraction(1)
+    # Column j holds coefficients 0..n-1 of D^j f (j < p) as dens[j] and the
+    # numerators cols[j].  Column n is first computed with a_n = 0; the
+    # correction for a_n is a_n prod_{l<j} (root + n - offsets[l]), and the
+    # tentative D^p f plus the g_j terms, divided by -I(root + n), is a_n.
+    starts = [root - w for w in equation.exponent_offsets()]
+    value = Fraction(1)
+    dens, cols = [], []
     for j in range(p):
-        b[j + 1][0] = b[j][0] * (root - offsets[j])
-    a = [Fraction(1)] + [Fraction(0)] * n_terms
+        dens.append(value.denominator)
+        cols.append([value.numerator])
+        value *= starts[j]
+    a = [Fraction(1)]
     for n in range(1, n_terms + 1):
+        lo = n_terms - n
+        window = sig[lo:]
+        steps = [x + n for x in starts]  # root + n - offsets[j]
+        tentative = [Fraction(0)]  # D^j f at q^n with a_n = 0
         for j in range(p):
-            conv = sum(sig[m] * b[j][n - m] for m in range(1, n + 1))
-            b[j + 1][n] = (root + n - offsets[j]) * b[j][n] + weights[j] * conv
-        c_n = b[p][n]
-        for j in range(p - 1):
-            c_n += sum(gq[j][m] * b[j][n - m] for m in range(n + 1))
-        denom = _poly_eval(list(ind.poly), root + n)
+            conv = sum(map(mul, window, cols[j]))
+            tentative.append(steps[j] * tentative[j] + Fraction(weights[j] * conv, dens[j]))
+        c_n = tentative[p]
+        for j, g0, den, nums in gq:
+            c_n += g0 * tentative[j] + Fraction(sum(map(mul, nums[lo:], cols[j])), den * dens[j])
+        denom = _poly_eval(poly, root + n)
         if denom == 0:
             raise ResonantRoot(f"indicial polynomial vanishes again at {root} + {n}")
         a_n = -c_n / denom
-        a[n] = a_n
-        b[0][n] = a_n
+        a.append(a_n)
+        factor = a_n
         for j in range(p):
-            b[j + 1][n] += a_n * _partial_product(root + n, offsets, j + 1)
+            value = tentative[j] + factor
+            factor *= steps[j]
+            den, vden = dens[j], value.denominator
+            if den % vden:
+                merged = den // gcd(den, vden) * vden
+                cols[j] = list(map(mul, cols[j], repeat(merged // den)))
+                dens[j] = den = merged
+            cols[j].append(value.numerator * (den // vden))
     return QExpansion(root, tuple(a))
-
-
-def _partial_product(x, offsets, j):
-    acc = Fraction(1)
-    for l in range(j):
-        acc *= x - offsets[l]
-    return acc
 
 
 def fundamental_system(equation: MLDE, n_terms: int) -> VVMF:

@@ -103,6 +103,11 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     return [from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    """First len(a) coefficients of a*b (len(a) == len(b)), kernel chosen by size."""
+    return _schoolbook(a, b) if len(a) < KRONECKER_CUTOFF else _kronecker(a, b)
+
+
 @dataclass(frozen=True)
 class QExpansion:
     """Immutable truncated series ``q^leading * sum(c_n q^n, n=0..N)``."""
@@ -195,7 +200,7 @@ class QExpansion:
         n = min(len(self.coeffs), len(other.coeffs))
         da, a = _clear_denominators(self.coeffs[:n])
         db, b = _clear_denominators(other.coeffs[:n])
-        product = _schoolbook(a, b) if n < KRONECKER_CUTOFF else _kronecker(a, b)
+        product = _int_product(a, b)
         d = da * db
         coeffs = map(Fraction, product) if d == 1 else (Fraction(c, d) for c in product)
         return QExpansion(self.leading + other.leading, tuple(coeffs))

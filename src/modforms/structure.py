@@ -256,10 +256,17 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
             row = []
             for j in range(rep.p):
                 prod = mono * gens[i].components[j]
-                if prod.is_zero:
-                    row.extend(Fraction(0) for _ in range(depth + 1))
+                # Cells are the coefficients of q^(lead[j] + n), n <= depth.  prod
+                # starts shift >= 0 steps in and has truncation depth, so it is
+                # known through lead[j] + depth.  A zero component of another
+                # generator can put lead[j] off prod's lattice: then every cell is 0.
+                shift = prod.leading - lead[j]
+                if prod.is_zero or shift.denominator != 1:
+                    row.extend([Fraction(0)] * (depth + 1))
                 else:
-                    row.extend(prod.coefficient(lead[j] + n) for n in range(depth + 1))
+                    zeros = min(int(shift), depth + 1)
+                    row.extend([Fraction(0)] * zeros)
+                    row.extend(prod.coeffs[: depth + 1 - zeros])
             rows.append(row)
         if linalg.rank(rows) != len(members):
             raise DependentGenerators(w)

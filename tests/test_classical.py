@@ -17,7 +17,8 @@ from modforms.classical import (
     to_qexpansion,
 )
 from modforms.errors import AmbiguousTruncation, NotInM, OddWeight
-from modforms.qseries import QExpansion
+from modforms.mlde import mlde_from_exponents, solve_frobenius
+from modforms.qseries import KRONECKER_CUTOFF, QExpansion
 
 F = Fraction
 
@@ -127,6 +128,34 @@ def test_serre_derivative_kills_eta_powers():
     assert serre_derivative(delta(24), 12).is_zero
     for k in (1, 3, 7):
         assert serre_derivative(eta_power(2 * k, 24), k).is_zero
+
+
+def theta_plus_kpf(f, k, terms=None):
+    """Reference Serre derivative: theta(f) + k P f through the series arithmetic."""
+    out = f.theta() + (eisenstein("P", f.truncation_order) * f).scale(k)
+    return out.truncate(terms) if terms is not None and terms < out.truncation_order else out
+
+
+SERRE_SIZES = (KRONECKER_CUTOFF - 5, KRONECKER_CUTOFF, KRONECKER_CUTOFF + 40)
+
+
+@pytest.mark.parametrize("n", SERRE_SIZES)
+@pytest.mark.parametrize("k", [12, F(13, 2), 4, F(-1, 3)])
+def test_serre_derivative_matches_theta_plus_kPf(n, k):
+    frobenius = solve_frobenius(mlde_from_exponents([0, F(5, 6)]), F(5, 6), n)
+    forms = [
+        delta(n),
+        eta_power(13, n),  # leading exponent 13/24
+        eisenstein("Q", n),
+        frobenius,  # rational coefficients, leading exponent 5/6
+        QExpansion.zero(n),
+        QExpansion.make([0, 0, F(3, 7)] + [F(-1, 1728)] * (n - 2), F(7, 5)),
+    ]
+    for f in forms:
+        for terms in (None, n // 2, n + 3):
+            got = serre_derivative(f, k, terms)
+            assert got == theta_plus_kpf(f, k, terms)
+            assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_serre_derivative_poly_matches_series():

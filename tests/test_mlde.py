@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from modforms.classical import PolynomialQR, eisenstein, eta_power, monomial_basis
+from modforms.classical import PolynomialQR, _sigma, eisenstein, eta_power, monomial_basis, to_qexpansion
 from modforms.errors import (
     NonIntegralWeight,
     NotARoot,
@@ -14,6 +17,7 @@ from modforms.errors import (
 )
 from modforms.mlde import (
     MLDE,
+    _indicial_coefficients,
     fundamental_system,
     indicial_polynomial,
     mlde_from_exponents,
@@ -192,3 +196,94 @@ def test_weight_relation_is_automatic():
         ind = indicial_polynomial(MLDE.make(k0, p, coeffs))
         root_sum = -ind.poly[p - 1] if p > 1 else -ind.poly[0]
         assert 12 * root_sum == p * (p + k0 - 1)
+
+
+# -- the integer Frobenius recursion against the Fraction recursion it replaced --
+
+def fraction_frobenius(equation, root, n_terms):
+    """Reference solver: the b[j][n] table of D^j f coefficients in Fraction arithmetic."""
+    root = F(root)
+    poly = _indicial_coefficients(equation)
+
+    def indicial(x):
+        return sum(c * x**i for i, c in enumerate(poly))
+
+    if indicial(root) != 0:
+        raise NotARoot(f"{root} is not an indicial root")
+    p = equation.order
+    offsets = equation.exponent_offsets()
+    weights = [equation.weight + 2 * l for l in range(p)]
+    gq = [to_qexpansion(g, n_terms).coeffs for g in equation.coeffs]
+    sig = [F(0)] + [F(2 * _sigma(1, m)) for m in range(1, n_terms + 1)]
+    b = [[F(0)] * (n_terms + 1) for _ in range(p + 1)]
+    b[0][0] = F(1)
+    for j in range(p):
+        b[j + 1][0] = b[j][0] * (root - offsets[j])
+    a = [F(1)] + [F(0)] * n_terms
+    for n in range(1, n_terms + 1):
+        for j in range(p):
+            conv = sum(sig[m] * b[j][n - m] for m in range(1, n + 1))
+            b[j + 1][n] = (root + n - offsets[j]) * b[j][n] + weights[j] * conv
+        c_n = b[p][n]
+        for j in range(p - 1):
+            c_n += sum(gq[j][m] * b[j][n - m] for m in range(n + 1))
+        denom = indicial(root + n)
+        if denom == 0:
+            raise ResonantRoot(f"indicial polynomial vanishes again at {root} + {n}")
+        a[n] = -c_n / denom
+        b[0][n] = a[n]
+        for j in range(p):
+            partial = F(1)
+            for l in range(j + 1):
+                partial *= root + n - offsets[l]
+            b[j + 1][n] += a[n] * partial
+    return QExpansion(root, tuple(a))
+
+
+# every set of distinct exponents i/12 in [0, 1) of order 1-4 whose weight
+# k_0 = sum(i)/p - p + 1 is an integer; (0, 1/12, 2/12) is the k_0 = -1 set
+ADMISSIBLE = [
+    tuple(F(i, 12) for i in c)
+    for p in range(1, 5)
+    for c in combinations(range(12), p)
+    if sum(c) % p == 0
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ADMISSIBLE), st.integers(0, 60), st.integers(0, 3))
+@example((F(0), F(1, 12), F(2, 12)), 60, 0)
+@example((F(0), F(5, 6)), 60, 1)
+@example((F(1, 12), F(4, 12), F(7, 12), F(8, 12)), 48, 3)
+def test_frobenius_matches_fraction_recursion(exponents, n_terms, pick):
+    eq = mlde_from_exponents(exponents)
+    root = exponents[pick % len(exponents)]
+    sol = solve_frobenius(eq, root, n_terms)
+    assert sol == fraction_frobenius(eq, root, n_terms)
+    assert all(type(c) is Fraction for c in sol.coeffs)
+
+
+def test_frobenius_matches_fraction_recursion_large_denominators():
+    # order 3 at weight 5, g_1 = Q/(2^61 - 1), g_0 a multiple of R chosen so
+    # that 1000/1000003 is an indicial root
+    root, k0, c1 = F(1000, 1000003), 5, F(1, 2**61 - 1)
+    offsets = [F(k0 + 2 * l, 12) for l in range(3)]
+    c0 = -((root - offsets[0]) * (root - offsets[1]) * (root - offsets[2]) + c1 * (root - offsets[0]))
+    eq = MLDE.make(k0, 3, [PolynomialQR.monomial(0, 1, c0), PolynomialQR.monomial(1, 0, c1)])
+    assert _indicial_coefficients(eq)[0].denominator > 2**100
+    sol = solve_frobenius(eq, root, 40)
+    assert sol == fraction_frobenius(eq, root, 40)
+    assert max(c.denominator for c in sol.coeffs).bit_length() > 1000
+
+
+@pytest.mark.parametrize(
+    "equation, root, error",
+    [(E4_EQUATION, F(1, 2), NotARoot), (order2(5, F(-35, 144)), 0, ResonantRoot)],
+    ids=["not_a_root", "resonant"],
+)
+def test_frobenius_errors_match_fraction_recursion(equation, root, error):
+    with pytest.raises(error) as new:
+        solve_frobenius(equation, root, 8)
+    with pytest.raises(error) as reference:
+        fraction_frobenius(equation, root, 8)
+    assert str(new.value) == str(reference.value)

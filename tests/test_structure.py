@@ -143,6 +143,14 @@ def test_free_basis_rejects_dependent(cyclic_system):
     with pytest.raises(DependentGenerators) as err:
         free_basis_verify([cyclic_system, q_mult], 20, 64)
     assert err.value.weight == 8
+    # normalized, Delta F leads one step above F in every component, so its
+    # rows are its coefficients shifted right by one
+    shifted = module_action(delta(64), 12, cyclic_system)
+    delta_mult = VVMF.make(16, shifted.rep, [f.normalized() for f in shifted.components])
+    assert [f.leading for f in delta_mult.components] == [1, F(11, 6)]
+    with pytest.raises(DependentGenerators) as err:
+        free_basis_verify([cyclic_system, delta_mult], 20, 64)
+    assert err.value.weight == 16
 
 
 def test_growth_bound():
