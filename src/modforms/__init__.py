@@ -47,7 +47,7 @@ from .mlde import (
     weight_relation_check,
 )
 from .qseries import DEFAULT_TERMS, QExpansion
-from .skew import SkewPolynomial, d, skew_mul
+from .skew import SkewPolynomial, d
 from .structure import (
     FreeBasisReport,
     FundamentalWeights,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -33,28 +34,42 @@ def _env_terms() -> int:
     if text is None:
         return DEFAULT_TERMS
     try:
-        return int(text)
-    except ValueError:
-        raise ModformError(f"MODFORMS_TERMS={text!r} is not an integer") from None
+        return _TERMS(text)
+    except argparse.ArgumentTypeError as err:
+        raise ModformError(f"MODFORMS_TERMS: {err}") from None
+
+
+def _checked(convert, accept, rule: str):
+    """An argparse type: convert the text, then require accept(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+_TERMS = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_TOLERANCE = _checked(float, lambda x: 0 < x < math.inf, "a positive finite number")
 
 
 def _add_common(sub, tol: bool = False):
     sub.add_argument(
-        "--terms", type=int, help=f"truncation order N (default: $MODFORMS_TERMS or {DEFAULT_TERMS})"
+        "--terms", type=_TERMS, help=f"truncation order N (default: $MODFORMS_TERMS or {DEFAULT_TERMS})"
     )
     sub.add_argument("--format", choices=("json", "text"), default="json")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
+        sub.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="numeric tolerance")
 
 
 def _config(args) -> CliConfig:
     terms = _env_terms() if args.terms is None else args.terms
-    cfg = CliConfig(terms, getattr(args, "tol", 1e-6), args.format)
-    if cfg.terms < 1:
-        raise ModformError("--terms must be >= 1")
-    if cfg.tolerance <= 0:
-        raise ModformError("--tol must be positive")
-    return cfg
+    return CliConfig(terms, getattr(args, "tol", 1e-6), args.format)
 
 
 def _fraction(text: str) -> Fraction:
@@ -66,6 +81,21 @@ def _fraction(text: str) -> Fraction:
 
 def _parse_fractions(text: str):
     return [_fraction(part) for part in text.split(",") if part.strip()]
+
+
+def _parse_integers(text: str):
+    values = _parse_fractions(text)
+    if any(v.denominator != 1 for v in values):
+        raise ModformError(f"{text!r} is not a list of integers")
+    return [int(v) for v in values]
+
+
+def _read_document(path: str, decode):
+    """Decode the JSON document at path; any failure to read it is a ModformError."""
+    try:
+        return decode(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ModformError(f"cannot read {path!r}: {type(err).__name__}: {err}") from None
 
 
 def _named_form(name: str, terms: int) -> QExpansion:
@@ -83,10 +113,7 @@ def _resolve_mlde(spec: str) -> mlde.MLDE:
     """An exponent list like "0,5/6", or a path to an MLDE JSON document."""
     if re.fullmatch(r"[\s0-9,/\-]+", spec):
         return mlde.mlde_from_exponents(_parse_fractions(spec))
-    path = Path(spec)
-    if not path.exists():
-        raise ModformError(f"MLDE spec {spec!r} is neither an exponent list nor a file")
-    return serialize.mlde_from_json(json.loads(path.read_text()))
+    return _read_document(spec, serialize.mlde_from_json)
 
 
 def _emit(doc: dict, text: str | None, cfg: CliConfig) -> int:
@@ -119,8 +146,9 @@ def _cmd_mlde_solve(args) -> int:
     elif args.coeffs:
         if args.weight is None:
             raise ModformError("--coeffs requires --weight")
-        doc = json.loads(Path(args.coeffs).read_text())
-        coeffs = [serialize.polynomial_from_json(g) for g in doc]
+        coeffs = _read_document(
+            args.coeffs, lambda doc: [serialize.polynomial_from_json(g) for g in doc]
+        )
         equation = mlde.MLDE.make(args.weight, len(coeffs) + 1, coeffs)
     else:
         raise ModformError("need --exponents or --weight with --coeffs")
@@ -180,9 +208,9 @@ def _cmd_classify2d(args) -> int:
 def _cmd_poincare(args) -> int:
     cfg = _config(args)
     if args.weights:
-        ps = structure.ps_from_weights([int(w) for w in _parse_fractions(args.weights)])
+        ps = structure.ps_from_weights(_parse_integers(args.weights))
     elif args.cyclic:
-        k0, p = (int(x) for x in _parse_fractions(args.cyclic))
+        k0, p = _parse_integers(args.cyclic)
         ps = structure.ps_cyclic(k0, p)
     else:
         raise ModformError("need --weights or --cyclic")

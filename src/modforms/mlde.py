@@ -36,44 +36,9 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
+from .linalg import _poly_divmod, _poly_eval, _poly_mul, solve_overdetermined
 from .qseries import QExpansion, _clear_denominators
 from .vvmf import VVMF, RepData
-
-
-# -- dense polynomials over Fraction, ascending coefficients ----------------
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _poly_eval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(a, root):
-    """Synthetic division by (x - root); the root must be exact."""
-    out = [Fraction(0)] * (len(a) - 1)
-    acc = Fraction(0)
-    for i in range(len(a) - 1, 0, -1):
-        acc = a[i] if i == len(a) - 1 else a[i] + acc * root
-        out[i - 1] = acc
-    return out
 
 
 def _divisors(n: int):
@@ -101,10 +66,7 @@ def _rational_roots(poly):
             roots.append(Fraction(0))
             work = work[1:]
             continue
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
+        ints = _clear_denominators(work)[1]
         found = None
         for num in sorted(_divisors(ints[0])):
             for den in sorted(_divisors(ints[-1])):
@@ -120,7 +82,7 @@ def _rational_roots(poly):
         if found is None:
             break
         roots.append(found)
-        work = _deflate(work, found)
+        work = _poly_divmod(work, [-found, 1])[0]
     return sorted(roots)
 
 
@@ -166,17 +128,22 @@ class IndicialData:
     all_rational: bool
 
 
-def _indicial_coefficients(equation: MLDE) -> tuple:
-    """I(lambda) as Fractions, ascending in lambda."""
-    offsets = equation.exponent_offsets()
-    partial = [[Fraction(1)]]  # partial[j] = prod_{l<j} (lambda - offset_l)
+def _partial_products(offsets) -> list:
+    """[prod_{l<j} (lambda - offsets[l]) for j = 0..len(offsets)], ascending."""
+    partial = [[Fraction(1)]]
     for w in offsets:
         partial.append(_poly_mul(partial[-1], [-w, Fraction(1)]))
+    return partial
+
+
+def _indicial_coefficients(equation: MLDE) -> tuple:
+    """I(lambda) as Fractions, ascending in lambda."""
+    partial = _partial_products(equation.exponent_offsets())
     poly = partial[equation.order]
     for j, g in enumerate(equation.coeffs):
         c = g.constant_term()
-        if c:
-            poly = _poly_add(poly, [x * c for x in partial[j]])
+        for i, x in enumerate(partial[j]):
+            poly[i] += c * x
     return tuple(poly)
 
 
@@ -286,8 +253,8 @@ def mlde_from_exponents(exponents) -> MLDE:
     """Rebuild the unique MLDE with the given indicial roots (p <= 5).
 
     The weight comes from the root sum; the constant terms g_j(oo) come from
-    matching the indicial polynomial to prod (lambda - m_j), solved back to
-    front against the triangular partial products.  Through order 5 each g_j
+    matching the indicial polynomial to prod (lambda - m_j), one exact solve
+    against the triangular partial products.  Through order 5 each g_j
     lies in a one-dimensional M_{2(p-j)} whose monomial has constant term 1,
     so the constants determine the operator.
     """
@@ -305,21 +272,11 @@ def mlde_from_exponents(exponents) -> MLDE:
     if k0.denominator != 1:
         raise NonIntegralWeight(f"weight relation gives k_0 = {k0}")
     k0 = int(k0)
-    offsets = [Fraction(k0 + 2 * l, 12) for l in range(p)]
-    partial = [[Fraction(1)]]
-    for w in offsets:
-        partial.append(_poly_mul(partial[-1], [-w, Fraction(1)]))
-    target = [Fraction(1)]
-    for m in ms:
-        target = _poly_mul(target, [-m, Fraction(1)])
-    rem = _poly_add(target, [-c for c in partial[p]])
-    rem = rem + [Fraction(0)] * (p - len(rem))
-    consts = [Fraction(0)] * max(p - 1, 0)
-    for j in range(p - 2, -1, -1):
-        consts[j] = rem[j]
-        if consts[j]:
-            rem = _poly_add(rem, [-consts[j] * c for c in partial[j]])
-    if any(c != 0 for c in rem):
+    partial = _partial_products([Fraction(k0 + 2 * l, 12) for l in range(p)])
+    target = _partial_products(ms)[p]
+    a = [[partial[j][i] if i <= j else 0 for j in range(p - 1)] for i in range(p + 1)]
+    consts = solve_overdetermined(a, [t - c for t, c in zip(target, partial[p])])
+    if consts is None:
         raise ValueError("indicial matching left a nonzero remainder")  # unreachable
     coeffs = []
     for j in range(p - 1):

@@ -2,7 +2,9 @@
 
 Round trips are byte-stable: encoding, decoding, and re-encoding reproduces
 the same document.  Series coefficients are always exact rationals; complex
-numbers appear only in monodromy matrices, as [re, im] pairs.
+numbers appear only in monodromy matrices, as [re, im] pairs.  Decoders
+read rationals as strings, ints or Fractions and integer fields as exact
+integers: a JSON float raises TypeError instead of being rounded.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .classical import PolynomialQR
 from .mlde import MLDE, IndicialData, ResidualReport
-from .qseries import QExpansion
+from .qseries import QExpansion, _coerce
 from .structure import FreeBasisReport, PoincareSeries, TwoDimClass
 from .vvmf import VVMF, RelationReport, RepData, ValidationReport
 
@@ -21,23 +23,23 @@ def fraction_to_json(x) -> str:
     return str(Fraction(x))
 
 
-def coeff_to_json(c) -> str:
-    return str(c)
-
-
-def coeff_from_json(c) -> Fraction:
-    return Fraction(c)
+def _integer(x) -> int:
+    """An integer field given as an int or an exact string; never a float."""
+    value = _coerce(x)
+    if value.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(value)
 
 
 def qexpansion_to_json(f: QExpansion) -> dict:
     return {
         "leading": fraction_to_json(f.leading),
-        "coeffs": [coeff_to_json(c) for c in f.coeffs],
+        "coeffs": [str(c) for c in f.coeffs],
     }
 
 
 def qexpansion_from_json(doc: dict) -> QExpansion:
-    return QExpansion.make([coeff_from_json(c) for c in doc["coeffs"]], Fraction(doc["leading"]))
+    return QExpansion.make(doc["coeffs"], _coerce(doc["leading"]))
 
 
 def polynomial_to_json(m: PolynomialQR) -> dict:
@@ -51,8 +53,8 @@ def polynomial_from_json(doc: dict) -> PolynomialQR:
     coords = {}
     for key, val in doc["coords"].items():
         u, v = key.split(",")
-        coords[(int(u), int(v))] = Fraction(val)
-    return PolynomialQR.make(int(doc["weight"]), coords)
+        coords[(int(u), int(v))] = _coerce(val)
+    return PolynomialQR.make(_integer(doc["weight"]), coords)
 
 
 def mlde_to_json(eq: MLDE) -> dict:
@@ -65,8 +67,8 @@ def mlde_to_json(eq: MLDE) -> dict:
 
 def mlde_from_json(doc: dict) -> MLDE:
     return MLDE.make(
-        int(doc["weight"]),
-        int(doc["order"]),
+        _integer(doc["weight"]),
+        _integer(doc["order"]),
         [polynomial_from_json(g) for g in doc["coeffs"]],
     )
 
@@ -108,12 +110,12 @@ def vvmf_from_json(doc: dict) -> VVMF:
     rep_doc = doc["rep"]
     rho_S = rep_doc.get("rho_S")
     rep = RepData.make(
-        [Fraction(m) for m in rep_doc["exponents"]],
+        [_coerce(m) for m in rep_doc["exponents"]],
         matrix_from_json(rho_S) if rho_S is not None else None,
         rep_doc.get("s_squared_sign"),
     )
     return VVMF.make(
-        int(doc["weight"]), rep, [qexpansion_from_json(c) for c in doc["components"]]
+        _integer(doc["weight"]), rep, [qexpansion_from_json(c) for c in doc["components"]]
     )
 
 
@@ -125,7 +127,7 @@ def poincare_to_json(ps: PoincareSeries) -> dict:
 
 
 def poincare_from_json(doc: dict) -> PoincareSeries:
-    return PoincareSeries.make({int(e): int(c) for e, c in doc["numerator"].items()})
+    return PoincareSeries.make({_integer(e): _integer(c) for e, c in doc["numerator"].items()})
 
 
 def twodim_to_json(cls: TwoDimClass) -> dict:
@@ -166,7 +168,7 @@ def residual_to_json(report: ResidualReport) -> dict:
         else fraction_to_json(report.first_nonzero_exponent),
         "first_nonzero_value": None
         if report.first_nonzero_value is None
-        else coeff_to_json(report.first_nonzero_value),
+        else fraction_to_json(report.first_nonzero_value),
     }
 
 

@@ -2,7 +2,8 @@
 
 Elements are finite sums ``sum_j f_j d^j`` with f_j in C[Q, R], kept in the
 normal form with all coefficients to the left of the d-powers.  Products
-are normalized with the commutation rule
+are written ``a * b`` (as operators, a applied after b) and normalized
+with the commutation rule
 
     d f = f d + D(f)
 
@@ -116,11 +117,6 @@ class SkewPolynomial:
             piece = to_qexpansion(coeff, terms) * tower[power]
             acc = piece if acc is None else acc + piece
         return acc
-
-
-def skew_mul(a: SkewPolynomial, b: SkewPolynomial) -> SkewPolynomial:
-    """Normal-form product; as operators, a applied after b."""
-    return a * b
 
 
 #: The derivation generator of M[d].

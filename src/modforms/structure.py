@@ -19,7 +19,8 @@ from .classical import EtaPower, PolynomialQR, dim_M, monomial_basis, to_qexpans
 from .errors import DependentGenerators, InsufficientTruncation, NotIndecomposable, OutOfRange
 from .vvmf import VVMF, validate
 
-#: Denominator of every series here, as dense ascending coefficients.
+#: Denominator of every series here, as dense ascending coefficients; it is
+#: monic (leading coefficient +1), so `linalg._poly_divmod` divides by it.
 DENOMINATOR = (1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)  # (1-t^4)(1-t^6)
 
 
@@ -172,27 +173,10 @@ def coker_ps_difference(cls: TwoDimClass) -> dict:
     if cls.kind != "cyclic":
         raise ValueError("cokernel comparison only makes sense for cyclic classes")
     diff = ps_from_weights((cls.a, cls.b)) - ps_cyclic(cls.k0, 2)
-    return _divide_by_denominator(diff.numerator_dict())
-
-
-def _divide_by_denominator(num: dict) -> dict:
-    """Exact division of a sparse polynomial by (1-t^4)(1-t^6)."""
-    if not num:
-        return {}
-    deg = max(num)
-    dense = [0] * (deg + 1)
-    for e, c in num.items():
-        dense[e] = c
-    den = DENOMINATOR
-    if deg < len(den) - 1:
-        raise ValueError("difference is not divisible by the denominator")
-    quot = [0] * (deg - len(den) + 2)
-    for i in range(len(quot)):
-        quot[i] = dense[i]
-        if quot[i]:
-            for j, d in enumerate(den):
-                dense[i + j] -= quot[i] * d
-    if any(dense):
+    num = diff.numerator_dict()
+    dense = [num.get(e, 0) for e in range(max(num, default=-1) + 1)]
+    quot, rem = linalg._poly_divmod(dense, DENOMINATOR)
+    if any(rem):
         raise ValueError("difference is not divisible by the denominator")
     return {i: c for i, c in enumerate(quot) if c}
 

@@ -1,7 +1,13 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modforms.cli import main
 
@@ -82,7 +88,9 @@ def test_terms_env_var(capsys, monkeypatch):
 
 
 def test_invalid_terms_rejected(capsys):
-    assert main(["qexp", "--form", "Q", "--terms", "0"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["qexp", "--form", "Q", "--terms", "0"])
+    assert exc.value.code == 2
 
 
 def test_mlde_solve_from_coeff_file(tmp_path, capsys):
@@ -127,3 +135,151 @@ def test_bad_terms_env_var_is_a_json_error(capsys, monkeypatch):
     monkeypatch.setenv("MODFORMS_TERMS", "abc")
     assert main(["qexp", "--form", "Q"]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["poincare", "--weights", "1/2,6", "--upto", "8"], ["poincare", "--cyclic", "9/2,2"]],
+    ids=["weights", "cyclic"],
+)
+def test_poincare_rejects_non_integers(capsys, argv):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qexp", "--form", "Q", "--terms", "-5"],
+        ["monodromy", "--mlde", "1/12", "--terms", "8", "--tol", "0"],
+        ["monodromy", "--mlde", "1/12", "--terms", "8", "--tol", "nan"],
+    ],
+    ids=["terms", "tol_zero", "tol_nan"],
+)
+def test_out_of_range_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+#: JSON documents for --mlde and --coeffs: name -> file text (None: no file).
+DOCUMENTS = {
+    "coeffs": json.dumps([{"weight": 4, "coords": {"1,0": "-1/6"}}]),
+    "mlde": json.dumps({"weight": 4, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
+    "float_coeffs": json.dumps([{"weight": 4, "coords": {"1,0": -1 / 6}}]),
+    "float_mlde": json.dumps({"weight": 4, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": -1 / 6}}]}),
+    "half_weight": json.dumps({"weight": 4.5, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
+    "no_weight": json.dumps({"order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
+    "malformed": "{not json",
+    "scalar": "7",
+    "missing": None,
+    "directory": None,
+}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("documents")
+    paths = {}
+    for name, text in DOCUMENTS.items():
+        paths[name] = root / name
+        if text is not None:
+            paths[name].write_text(text)
+    paths["directory"].mkdir()
+    return {f"@{name}": str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mlde", "solve", "--weight", "4", "--coeffs", "@missing", "--terms", "4"],
+        ["mlde", "solve", "--weight", "4", "--coeffs", "@directory", "--terms", "4"],
+        ["mlde", "solve", "--weight", "4", "--coeffs", "@float_coeffs", "--terms", "4"],
+        ["monodromy", "--mlde", "@directory", "--terms", "8"],
+        ["monodromy", "--mlde", "@no_weight", "--terms", "8"],
+        ["monodromy", "--mlde", "@half_weight", "--terms", "8"],
+        ["verify-basis", "--mlde", "@float_mlde", "--terms", "8"],
+    ],
+    ids=["coeffs_missing", "coeffs_directory", "coeffs_float", "mlde_directory", "mlde_no_weight",
+         "mlde_half_weight", "mlde_float"],
+)
+def test_bad_document_is_a_json_error(capsys, documents, argv):
+    assert main([documents.get(a, a) for a in argv]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
+
+
+# -- fuzz: junk in every flag, in process ---------------------------------------
+
+JUNK = ("-5", "0", "1/0", "abc", "", "2.5", "7/2", "1,2,3")
+FILES = tuple(f"@{name}" for name in DOCUMENTS)
+
+
+def _values(*good):
+    return st.one_of(st.sampled_from(good), st.sampled_from(JUNK))
+
+
+def _flag(flag, values):
+    # "--flag=-1/3" is the only spelling argparse takes for a value starting with "-"
+    return st.tuples(values, st.booleans()).map(lambda vj: [f"{flag}={vj[0]}"] if vj[1] else [flag, vj[0]])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _command(*parts):
+    """argv of fixed words and drawn [flag, value] pairs, flags in drawn order."""
+    words = [p for p in parts if isinstance(p, str)]
+    flags = [p for p in parts if not isinstance(p, str)]
+    return st.tuples(*flags).flatmap(st.permutations).map(lambda fs: words + [w for f in fs for w in f])
+
+
+TERMS = _optional("--terms", _values("1", "3", "6"))
+MLDE_SPEC = _values("0,5/6", "1/12", "0,1/3,2/3", *FILES)
+ARGVS = st.one_of(
+    _command("qexp", _flag("--form", st.sampled_from(("Q", "delta", "eta^3", "nope", ""))), TERMS),
+    _command("serre", _flag("--form", st.sampled_from(("Q", "delta"))), _flag("--weight", _values("12", "-1/3")), TERMS),
+    _command(
+        "mlde", "solve",
+        _optional("--exponents", _values("0,5/6", "1/12")),
+        _optional("--weight", _values("4")),
+        _optional("--coeffs", st.sampled_from(FILES)),
+        TERMS,
+    ),
+    _command("monodromy", _flag("--mlde", MLDE_SPEC), TERMS, _optional("--tol", _values("1e-6", "nan", "inf"))),
+    _command("classify2d", _flag("--a", _values("10", "11", "3")), _flag("--b", _values("0", "1", "9"))),
+    _command(
+        "poincare",
+        _optional("--weights", _values("4,6", "-1,1")),
+        _optional("--cyclic", _values("4,2", "-1,3")),
+        _optional("--upto", _values("8", "-1")),
+    ),
+    _command("verify-basis", _flag("--mlde", MLDE_SPEC), _optional("--kmax", _values("8", "12")), TERMS),
+)
+
+
+def run_cli(argv, env_terms):
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        os.environ.pop("MODFORMS_TERMS", None)
+        if env_terms is not None:
+            os.environ["MODFORMS_TERMS"] = env_terms
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::modforms.errors.NonConvergent")
+@settings(max_examples=200, deadline=None)
+@given(ARGVS, st.sampled_from((None, "4", "0", "-5", "abc")))
+@example(["mlde", "solve", "--weight", "4", "--coeffs", "@missing", "--terms", "3"], None)
+@example(["monodromy", "--mlde", "@directory", "--terms", "3"], None)
+@example(["verify-basis", "--mlde", "@no_weight", "--terms", "3"], None)
+def test_cli_fuzz_exits_cleanly(documents, argv, env_terms):
+    code, err = run_cli([documents.get(a, a) for a in argv], env_terms)
+    assert code in (0, 1, 2)
+    if code == 1:
+        error = json.loads(err)["error"]
+        assert isinstance(error["type"], str) and isinstance(error["message"], str)

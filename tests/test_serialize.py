@@ -15,10 +15,10 @@ F = Fraction
 def test_fraction_strings():
     assert serialize.fraction_to_json(F(5, 6)) == "5/6"
     assert serialize.fraction_to_json(F(3)) == "3"
-    assert serialize.coeff_from_json("5/6") == F(5, 6)
+    assert serialize.qexpansion_from_json({"leading": "0", "coeffs": ["5/6"]}).coeffs == (F(5, 6),)
     # coefficients are exact; a [re, im] pair is not a coefficient
     with pytest.raises(TypeError):
-        serialize.coeff_from_json([1.0, -2.0])
+        serialize.qexpansion_from_json({"leading": "0", "coeffs": [[1.0, -2.0]]})
 
 
 def test_qexpansion_round_trip():

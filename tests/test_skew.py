@@ -13,7 +13,7 @@ from modforms.classical import (
     to_qexpansion,
 )
 from modforms.qseries import QExpansion
-from modforms.skew import SkewPolynomial, d, skew_mul
+from modforms.skew import SkewPolynomial, d
 
 F = Fraction
 
@@ -97,7 +97,7 @@ def test_operator_faithfulness():
         b = _random_homogeneous(rng)
         f = QExpansion.make([F(rng.randint(-9, 9)) for _ in range(14)])
         k = rng.randint(0, 12)
-        lhs = skew_mul(a, b).apply(f, k)
+        lhs = (a * b).apply(f, k)
         rhs = a.apply(b.apply(f, k), k + b.weight())
         n = min(lhs.truncation_order, rhs.truncation_order)
         assert (lhs.truncate(n) - rhs.truncate(n)).is_zero
