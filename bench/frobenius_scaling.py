@@ -1,4 +1,4 @@
-"""Timings of the Frobenius recursion: Fraction table vs integer columns.
+"""Timings of the Frobenius recursion, of verify_solution and of serre_derivative.
 
     PYTHONPATH=src python3 bench/frobenius_scaling.py > timings.json
 
@@ -7,14 +7,18 @@ For every exponent set and truncation N the script times
 the same fundamental system built by ``fraction_solve``, the recursion that
 ``solve_frobenius`` ran before its D^j f table moved to integer columns:
 every sigma and g_j convolution summed in Fraction arithmetic.  Both must
-give equal series; the script stops on any difference.
+give equal series; the script stops on any difference.  It also times
+``verify_solution`` on every component of the system (``verify_s``, the
+sum over components; each must verify), and ``serre_derivative`` of
+eta^13 at weight 13/2, which must vanish, at N 176 and 512.
 
 Sets: ``(0, 5/6)`` (order 2, weight 4, the README example),
 ``(1/12, 5/12, 9/12)`` (order 3, weight 3) and ``(1/12, 4/12, 7/12, 8/12)``
 (order 4, weight 2).  ``max_bits`` is the largest numerator or denominator
 bit length of any coefficient of the system.  Times are medians of runs
-repeated until about 0.5 s has been spent (at most 9 runs), so a run that
-takes longer than that is timed once.
+repeated until about 0.5 s has been spent (at most 9 runs, 200 for the
+sub-millisecond Serre derivative), so a run that takes longer than that
+is timed once.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import sys
 import time
 from fractions import Fraction
 
-from modforms.classical import _sigma, to_qexpansion
-from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents
+from modforms.classical import _sigma, eta_power, serre_derivative, to_qexpansion
+from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents, verify_solution
 
 SIZES = (64, 256, 512)
+SERRE_SIZES = (176, 512)
 SETS = {
     "0,5/6": (Fraction(0), Fraction(5, 6)),
     "1/12,5/12,9/12": (Fraction(1, 12), Fraction(5, 12), Fraction(9, 12)),
@@ -73,10 +78,10 @@ def fraction_solve(equation, root, n_terms):
     return a
 
 
-def timed(fn, budget=0.5):
+def timed(fn, budget=0.5, runs=9):
     """(median time, result of the first run) over runs repeated within the budget."""
     times, result = [], None
-    while len(times) < 9 and sum(times) < budget:
+    while len(times) < runs and sum(times) < budget:
         start = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - start)
@@ -93,6 +98,8 @@ def main():
             integer_s, system = timed(lambda: fundamental_system(eq, n))
             fraction_s, reference = timed(lambda: [fraction_solve(eq, r, n) for r in roots])
             assert reference == [list(f.coeffs) for f in system.components], (name, n)
+            verify_s, reports = timed(lambda: [verify_solution(eq, f, n) for f in system.components])
+            assert all(report.ok for report in reports), (name, n)
             coeffs = [c for f in system.components for c in f.coeffs]
             row = {
                 "exponents": name,
@@ -103,13 +110,22 @@ def main():
                 "fraction_s": fraction_s,
                 "integer_s": integer_s,
                 "speedup": round(fraction_s / integer_s, 1),
+                "verify_s": verify_s,
             }
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
+    serre_rows = []
+    for n in SERRE_SIZES:
+        f = eta_power(13, n)
+        serre_s, out = timed(lambda: serre_derivative(f, Fraction(13, 2)), runs=200)
+        assert out.is_zero, n
+        serre_rows.append({"form": "eta^13", "weight": "13/2", "n": n, "serre_s": serre_s})
+        print(json.dumps(serre_rows[-1]), file=sys.stderr)
     doc = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "fundamental_system": rows,
+        "serre_derivative": serre_rows,
     }
     print(json.dumps(doc, indent=2))
 

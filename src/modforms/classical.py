@@ -10,14 +10,18 @@ between the polynomial picture and q-expansions, and the Serre derivative
 
 which raises weight by 2.  P is the weight-2 quasimodular series
 -1/12 + 2*sum_n sigma_1(n) q^n; this normalization is the one pinned down
-by the identities D(Delta) = 0 and D(eta^2k) = 0.
+by the identities D(Delta) = 0 and D(eta^2k) = 0.  Every operator of M[d]
+acts through one integer theta-form sum_l h_l theta^l (`_theta_form`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat, zip_longest
+from operator import add, mul
 
 from . import linalg
 from .errors import AmbiguousTruncation, NotInM, OddWeight
@@ -262,35 +266,71 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     return PolynomialQR.make(weight, {basis[i]: x[i] for i in range(d)})
 
 
+def _apply_theta_form(den: int, h: list, f: QExpansion) -> QExpansion:
+    """(sum_l h[l] theta^l f) / den, for int numerator lists h[l] as long as f.
+
+    With f = q^(r/s) sum A_i q^i / d, theta^l f has numerators (r + s i)^l A_i
+    over s^l d: one integer product per nonconstant h[l], a scalar multiply
+    per constant one, and each output Fraction is built once.
+    """
+    d, col = _clear_denominators(f.coeffs)
+    r, s = f.leading.numerator, f.leading.denominator
+    steps = range(r, r + s * len(col), s)
+    acc = _int_product(h[0], col)
+    for hl in h[1:]:
+        col = list(map(mul, col, steps))
+        # Horner in s: once every l is in, term l carries s^(top - l)
+        acc = list(map(add, map(mul, repeat(s), acc), _int_product(hl, col)))
+    scale = den * s ** (len(h) - 1) * d
+    return QExpansion(f.leading, tuple(Fraction(x, scale) for x in acc))
+
+
+def _theta_form(terms, k, n: int) -> tuple[int, list]:
+    """Skew polynomial ``terms`` ((j, c_j) pairs) at weight k as sum_l h[l] theta^l / den.
+
+    Returns (den, h), each h[l] n + 1 int numerators.  T_0 = 1 and T_{j+1} =
+    D T_j, by the one Serre step D = theta + w P, w = k + 2j: with a = 12 den(w)
+    and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1}, den -> a den.
+    Each c_j enters as to_qexpansion(c_j) times T_j.
+    """
+    k = Fraction(k)
+    p12 = _clear_denominators(eisenstein("P", n).coeffs)[1]
+    zero, ramp = [0] * (n + 1), range(n + 1)
+    tower, tower_den = [[1] + zero[1:]], 1
+    den, h = 1, []
+    for j, c in terms:
+        while len(tower) <= j:
+            w = k + 2 * (len(tower) - 1)
+            a, b = 12 * w.denominator, w.numerator
+            tower = [
+                [a * (i * x + z) + b * y for i, x, y, z in zip(ramp, hl, _int_product(hl, p12), prev)]
+                for hl, prev in zip(tower + [zero], [zero] + tower)
+            ]
+            tower_den *= a
+        c_den, c = _clear_denominators(to_qexpansion(c, n).coeffs)
+        u = math.lcm(den, c_den * tower_den) // den
+        v = den * u // (c_den * tower_den)
+        h = [
+            [u * x + v * y for x, y in zip(hl, _int_product(c, t))]
+            for hl, t in zip_longest(h, tower, fillvalue=zero)
+        ]
+        den *= u
+    return den, h
+
+
 def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     """D(f) = theta(f) + k P f, with f regarded at weight k; raises weight by 2.
 
-    Computed in one integer pass: with f = q^(r/s) sum A_n q^n / d (A_n
-    integers) and k = k_num / k_den, coefficient n is
-
-        [12 k_den (r + s n) A_n + s k_num (12P * A)_n] / (12 s k_den d),
-
-    where 12P = -1 + 24 sum sigma_1(n) q^n has integer coefficients.
+    With k = k_num / k_den the operator is (k_num 12P + 12 k_den theta) /
+    (12 k_den), and 12P has integer coefficients: one integer multiply.
     """
     k = _coerce(k)
-    n = f.truncation_order
-    twelve_p = eisenstein("P", n).coeffs
-    if terms is not None and terms < n:
+    p12 = _clear_denominators(eisenstein("P", f.truncation_order).coeffs)[1]
+    if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
-        n = terms
-    d, nums = _clear_denominators(f.coeffs)
-    _, p12 = _clear_denominators(twelve_p[: n + 1])  # the lcm is 12, from P's -1/12
-    conv = _int_product(nums, p12)
-    r, s = f.leading.numerator, f.leading.denominator
-    theta_scale, p_scale = 12 * k.denominator, s * k.numerator
-    den = 12 * s * k.denominator * d
-    return QExpansion(
-        f.leading,
-        tuple(
-            Fraction(theta_scale * (r + s * i) * x + p_scale * c, den)
-            for i, (x, c) in enumerate(zip(nums, conv))
-        ),
-    )
+    n, scale = len(f.coeffs), 12 * k.denominator
+    h = [list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1)]
+    return _apply_theta_form(scale, h, f)
 
 
 def serre_derivative_poly(m: PolynomialQR) -> PolynomialQR:

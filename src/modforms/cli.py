@@ -250,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("serre", help="Serre derivative of a named form")
     sub.add_argument("--form", required=True)
-    sub.add_argument("--weight", required=True, help="weight the form is regarded at")
+    sub.add_argument("--weight", required=True, help="weight of the form, e.g. 12 or --weight=-1/3")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_serre)
 
     sub = subs.add_parser("mlde", help="modular linear differential equations")
     mlde_subs = sub.add_subparsers(dest="mlde_command", required=True)
     solve = mlde_subs.add_parser("solve", help="fundamental system of an MLDE")
-    solve.add_argument("--exponents", help="comma-separated indicial roots, e.g. 0,5/6")
-    solve.add_argument("--weight", type=int, help="k0 when giving explicit coefficients")
+    solve.add_argument("--exponents", help="comma-separated indicial roots, e.g. --exponents=0,5/6")
+    solve.add_argument("--weight", type=int, help="k0 with --coeffs, e.g. 4 or --weight=-1")
     solve.add_argument("--coeffs", help="path to a JSON list of g_0..g_{p-2}")
     _add_common(solve)
     solve.set_defaults(handler=_cmd_mlde_solve)
@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_classify2d)
 
     sub = subs.add_parser("poincare", help="Hilbert-Poincare series")
-    sub.add_argument("--weights", help="fundamental weights, e.g. 4,6")
-    sub.add_argument("--cyclic", help="k0,p for a cyclic module")
+    sub.add_argument("--weights", help="fundamental weights, e.g. 4,6 or --weights=-1,1")
+    sub.add_argument("--cyclic", help="k0,p of a cyclic module, e.g. 4,2 or --cyclic=-1,3")
     sub.add_argument("--upto", type=int, help="also list coefficients through this weight")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_poincare)

@@ -60,7 +60,7 @@ class IrrationalRoots(ModformError):
 
 
 class NonIntegralWeight(ModformError):
-    """The prescribed exponents force a non-integer weight."""
+    """A weight that must be an integer is not one, as given or as the exponents force it."""
 
 
 class OrderTooLarge(ModformError):

@@ -9,12 +9,12 @@ with no D^{p-1} term since M_2 = 0.  Its indicial polynomial at the cusp is
     I(lambda) = prod_{l<p} (lambda - (k_0+2l)/12)
               + sum_j g_j(oo) prod_{l<j} (lambda - (k_0+2l)/12),
 
-whose roots are the leading exponents of a fundamental system.  The solver
-runs the Frobenius recursion exactly: its table of D^j f coefficients is
-kept as integer numerators over one denominator per column, so the O(p N^2)
-convolutions are integer dot products and only O(p N) steps touch
-Fractions.  The converse direction rebuilds the operator from prescribed
-exponents while the coefficient spaces M_4..M_10 are one-dimensional.
+whose roots are the leading exponents of a fundamental system.  Solving
+and verifying share the operator's theta-form sum_l h_l theta^l / den on
+integers (`classical._theta_form`): the Frobenius recursion is integer dot
+products against the h_l, and `verify_solution` applies the form.  The
+converse direction rebuilds the operator from prescribed exponents while
+the coefficient spaces M_4..M_10 are one-dimensional.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd
 from operator import mul
 
 from . import skew
-from .classical import PolynomialQR, eisenstein, monomial_basis, to_qexpansion
+from .classical import PolynomialQR, _theta_form, monomial_basis
 from .errors import (
     IrrationalRoots,
     NonIntegralWeight,
@@ -107,6 +107,8 @@ class MLDE:
             want = 2 * (order - j)
             if not g.is_zero and g.weight != want:
                 raise ValueError(f"g_{j} must have weight {want}, got {g.weight}")
+        if Fraction(weight).denominator != 1:
+            raise NonIntegralWeight(f"weight {weight} is not an integer")
         return MLDE(int(weight), order, coeffs)
 
     def exponent_offsets(self):
@@ -137,14 +139,9 @@ def _partial_products(offsets) -> list:
 
 
 def _indicial_coefficients(equation: MLDE) -> tuple:
-    """I(lambda) as Fractions, ascending in lambda."""
-    partial = _partial_products(equation.exponent_offsets())
-    poly = partial[equation.order]
-    for j, g in enumerate(equation.coeffs):
-        c = g.constant_term()
-        for i, x in enumerate(partial[j]):
-            poly[i] += c * x
-    return tuple(poly)
+    """I(lambda) as Fractions, ascending in lambda: the constant terms of the theta-form."""
+    den, h = _theta_form(equation.to_skew().terms, equation.weight, 0)
+    return tuple(Fraction(hl[0], den) for hl in h)
 
 
 def indicial_polynomial(equation: MLDE) -> IndicialData:
@@ -157,69 +154,40 @@ def indicial_polynomial(equation: MLDE) -> IndicialData:
 def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
     """The unique solution q^root (1 + a_1 q + ...) by exact recursion.
 
-    Coefficient n costs O(p n) convolution work; the whole call is O(p N^2).
-    That quadratic part runs on integers: each column of the D^j f table is
-    one common denominator and a list of int numerators, and every
-    convolution with 2 sigma_1 or with g_j is a C-level integer dot product.
-    Only the O(p) values of column n, a_n and I(root + n) are Fractions.
-    Raises NotARoot if root misses the indicial polynomial and ResonantRoot
-    if I(root + n) vanishes for some 1 <= n <= N.
+    With L = sum_l h_l theta^l / den, coefficient n of L f vanishes when
+    a_n = -(sum_l sum_{i<n} h_{l,n-i} (root + i)^l a_i) / (den I(root + n)).
+    For root = r/s and a_i = A_i / den_a, column l holds the ints
+    (r + s i)^l A_i, so the O(p N^2) work is C-level integer dot products and
+    only a_n is a Fraction.  Raises NotARoot if root misses the indicial
+    polynomial and ResonantRoot if I(root + n) vanishes for some 1 <= n <= N.
     """
     root = Fraction(root)
-    poly = _indicial_coefficients(equation)
-    if _poly_eval(poly, root) != 0:
-        raise NotARoot(f"{root} is not an indicial root")
+    r, s = root.numerator, root.denominator
+    _, h = _theta_form(equation.to_skew().terms, equation.weight, n_terms)
     p = equation.order
-    weights = [equation.weight + 2 * l for l in range(p)]
-    # Integer tables are stored reversed, so that table[N - n:] starts with
-    # the coefficient of q^n and runs down to q^1 (or q^0) as a slice.
-    sig = [c.numerator for c in eisenstein("P", n_terms).coeffs[:0:-1]]  # 2 sigma_1(m)
-    gq = []  # (j, g_j(oo), common denominator, reversed numerators)
-    for j, g in enumerate(equation.coeffs):
-        if g.is_zero:
-            continue
-        coeffs = to_qexpansion(g, n_terms).coeffs
-        den, nums = _clear_denominators(coeffs)
-        gq.append((j, coeffs[0], den, nums[::-1]))
-
-    # Column j holds coefficients 0..n-1 of D^j f (j < p) as dens[j] and the
-    # numerators cols[j].  Column n is first computed with a_n = 0; the
-    # correction for a_n is a_n prod_{l<j} (root + n - offsets[l]), and the
-    # tentative D^p f plus the g_j terms, divided by -I(root + n), is a_n.
-    starts = [root - w for w in equation.exponent_offsets()]
-    value = Fraction(1)
-    dens, cols = [], []
-    for j in range(p):
-        dens.append(value.denominator)
-        cols.append([value.numerator])
-        value *= starts[j]
-    a = [Fraction(1)]
+    # den s^p I(x / s), an integer polynomial in x
+    indicial = [hl[0] * s ** (p - l) for l, hl in enumerate(h)]
+    if _poly_eval(indicial, r) != 0:
+        raise NotARoot(f"{root} is not an indicial root")
+    # s^(p-l) h_l for each h_l with terms past q^0, reversed: table[N - n:] starts at q^n
+    tables = {l: [x * s ** (p - l) for x in hl[:0:-1]] for l, hl in enumerate(h) if any(hl[1:])}
+    cols = {l: [r**l] for l in tables}
+    den_a, a = 1, [Fraction(1)]
     for n in range(1, n_terms + 1):
-        lo = n_terms - n
-        window = sig[lo:]
-        steps = [x + n for x in starts]  # root + n - offsets[j]
-        tentative = [Fraction(0)]  # D^j f at q^n with a_n = 0
-        for j in range(p):
-            conv = sum(map(mul, window, cols[j]))
-            tentative.append(steps[j] * tentative[j] + Fraction(weights[j] * conv, dens[j]))
-        c_n = tentative[p]
-        for j, g0, den, nums in gq:
-            c_n += g0 * tentative[j] + Fraction(sum(map(mul, nums[lo:], cols[j])), den * dens[j])
-        denom = _poly_eval(poly, root + n)
+        total = sum(sum(map(mul, tables[l][n_terms - n :], col)) for l, col in cols.items())
+        x = r + s * n
+        denom = _poly_eval(indicial, x)
         if denom == 0:
             raise ResonantRoot(f"indicial polynomial vanishes again at {root} + {n}")
-        a_n = -c_n / denom
-        a.append(a_n)
-        factor = a_n
-        for j in range(p):
-            value = tentative[j] + factor
-            factor *= steps[j]
-            den, vden = dens[j], value.denominator
-            if den % vden:
-                merged = den // gcd(den, vden) * vden
-                cols[j] = list(map(mul, cols[j], repeat(merged // den)))
-                dens[j] = den = merged
-            cols[j].append(value.numerator * (den // vden))
+        a.append(Fraction(-total, denom * den_a))
+        v = a[n].denominator
+        if den_a % v:
+            m = v // gcd(den_a, v)
+            cols = {l: list(map(mul, col, repeat(m))) for l, col in cols.items()}
+            den_a *= m
+        num = a[n].numerator * (den_a // v)
+        for l, col in cols.items():
+            col.append(num * x**l)
     return QExpansion(root, tuple(a))
 
 

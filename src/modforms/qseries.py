@@ -8,11 +8,11 @@ complex on the fly, and float or complex coefficients are rejected.
 Products are computed over the integers.  Each operand's coefficients are
 scaled by the lcm of their denominators, the integer numerators are
 convolved, and every output coefficient is divided once by the product of
-the two lcms.  Short products use a schoolbook convolution that skips zero
-coefficients (eta products are sparse); from ``KRONECKER_CUTOFF`` terms on,
-both operands are packed into one integer each and multiplied once
-(Kronecker substitution), so the quadratic work happens inside CPython's
-big-integer multiply.
+the two lcms.  A constant factor is a scalar multiply.  Short products use
+a schoolbook convolution that skips zero coefficients (eta products are
+sparse); from ``KRONECKER_CUTOFF`` terms on, both operands are packed into
+one integer each and multiplied once (Kronecker substitution), so the
+quadratic work happens inside CPython's big-integer multiply.
 
 Truncation is knowledge, not padding: terms beyond ``q^(leading+N)`` are
 unknown, and every arithmetic operation propagates the largest truncation
@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 
 from .errors import CannotExtend, NonConvergent, NonIntegralOffset
@@ -105,6 +105,9 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
 
 def _int_product(a: list[int], b: list[int]) -> list[int]:
     """First len(a) coefficients of a*b (len(a) == len(b)), kernel chosen by size."""
+    for x, y in ((a, b), (b, a)):
+        if not any(islice(x, 1, None)):  # a constant factor only scales
+            return [x[0] * c for c in y]
     return _schoolbook(a, b) if len(a) < KRONECKER_CUTOFF else _kronecker(a, b)
 
 

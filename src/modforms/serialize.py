@@ -39,6 +39,8 @@ def qexpansion_to_json(f: QExpansion) -> dict:
 
 
 def qexpansion_from_json(doc: dict) -> QExpansion:
+    if not isinstance(doc["coeffs"], list):
+        raise TypeError(f"coeffs must be a list, not {type(doc['coeffs']).__name__}")
     return QExpansion.make(doc["coeffs"], _coerce(doc["leading"]))
 
 

@@ -9,16 +9,16 @@ with the commutation rule
 
 iterated via d^i f = sum_r binom(i, r) D^r(f) d^(i-r).  Applied to a
 q-expansion regarded at weight k, each d acts as the Serre derivative at
-the current weight (rightmost d first, weight climbing by 2 per step).
+the current weight, rightmost first; `apply` builds the operator's integer
+theta-form sum_l h_l theta^l (`classical._theta_form`) once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .classical import PolynomialQR, serre_derivative, serre_derivative_poly, to_qexpansion
+from .classical import PolynomialQR, _apply_theta_form, _theta_form, serre_derivative_poly
 from .qseries import QExpansion
 
 
@@ -100,7 +100,7 @@ class SkewPolynomial:
     def apply(self, f: QExpansion, k, terms: int | None = None) -> QExpansion:
         """Act on a q-expansion regarded at weight k.
 
-        The weight is threaded through the d-tower explicitly, so the same
+        The operator is written in theta-form at weight k, so the same
         series may be regarded at different weights by different calls.
         """
         if terms is None:
@@ -108,15 +108,7 @@ class SkewPolynomial:
         f = f.truncate(min(terms, f.truncation_order))
         if self.is_zero:
             return QExpansion.zero(terms)
-        tower = {0: f}
-        weight = Fraction(k)
-        for j in range(1, self.order() + 1):
-            tower[j] = serre_derivative(tower[j - 1], weight + 2 * (j - 1))
-        acc = None
-        for power, coeff in self.terms:
-            piece = to_qexpansion(coeff, terms) * tower[power]
-            acc = piece if acc is None else acc + piece
-        return acc
+        return _apply_theta_form(*_theta_form(self.terms, k, f.truncation_order), f)
 
 
 #: The derivation generator of M[d].

@@ -44,6 +44,10 @@ def test_make_validates():
         MLDE.make(4, 2, [])
     with pytest.raises(ValueError):
         MLDE.make(4, 2, [PolynomialQR.monomial(0, 1)])  # weight 6, needs 4
+    for weight in (4.5, F(9, 2), "-1/3"):
+        with pytest.raises(NonIntegralWeight):
+            MLDE.make(weight, 1, [])
+    assert MLDE.make(F(8, 2), 1, []).weight == 4
 
 
 def test_indicial_order_one():

@@ -19,6 +19,10 @@ def test_fraction_strings():
     # coefficients are exact; a [re, im] pair is not a coefficient
     with pytest.raises(TypeError):
         serialize.qexpansion_from_json({"leading": "0", "coeffs": [[1.0, -2.0]]})
+    # a string is not a coefficient list, not even one read digit by digit
+    for coeffs in ("12", {"0": "1"}):
+        with pytest.raises(TypeError):
+            serialize.qexpansion_from_json({"leading": "0", "coeffs": coeffs})
 
 
 def test_qexpansion_round_trip():

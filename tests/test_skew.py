@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modforms.classical import (
     PolynomialQR,
@@ -9,6 +11,7 @@ from modforms.classical import (
     eisenstein,
     from_qexpansion,
     monomial_basis,
+    serre_derivative,
     serre_derivative_poly,
     to_qexpansion,
 )
@@ -109,3 +112,74 @@ def test_weight_bookkeeping_lands_in_M():
     out = s.apply(eisenstein("Q", 16), 4)
     m = from_qexpansion(out, 10)
     assert m.weight == 10
+
+
+# -- apply through the theta-form against the Serre tower it replaced --
+
+def tower_apply(op, f, k, terms=None):
+    """Reference: apply as it was before the theta-form, p Serre derivatives and a product per term."""
+    if terms is None:
+        terms = f.truncation_order
+    f = f.truncate(min(terms, f.truncation_order))
+    if op.is_zero:
+        return QExpansion.zero(terms)
+    tower = {0: f}
+    weight = Fraction(k)
+    for j in range(1, op.order() + 1):
+        tower[j] = serre_derivative(tower[j - 1], weight + 2 * (j - 1))
+    acc = None
+    for power, coeff in op.terms:
+        piece = to_qexpansion(coeff, terms) * tower[power]
+        acc = piece if acc is None else acc + piece
+    return acc
+
+
+DENOMINATORS = (1, 2, 7, 1728, 2**61 - 1)
+
+
+@st.composite
+def skew_polynomials(draw):
+    """Up to order 4, any top coefficient, powers missing at random, not homogeneous."""
+    terms = {}
+    for power in range(draw(st.integers(-1, 4)) + 1):
+        if draw(st.booleans()):
+            continue
+        weight = draw(st.sampled_from((0, 4, 6, 8, 10, 12, 14, 16)))
+        u, v = draw(st.sampled_from(monomial_basis(weight)))
+        num = draw(st.integers(-9, 9).filter(bool))
+        terms[power] = poly(u, v, F(num, draw(st.sampled_from(DENOMINATORS))))
+    return SkewPolynomial.make(terms)
+
+
+@st.composite
+def series(draw):
+    """A series at leading exponent 0, 1/24, 7/5 or -1/3, sometimes zero, to q^0..q^40."""
+    leading = draw(st.sampled_from((F(0), F(1, 24), F(7, 5), F(-1, 3))))
+    n = draw(st.integers(0, 40))
+    if draw(st.integers(0, 9)) == 0:
+        return QExpansion(leading, (F(0),) * (n + 1))
+    nums = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n + 1, max_size=n + 1))
+    return QExpansion(leading, tuple(F(x, draw(st.sampled_from((1, 3, 1000003)))) for x in nums))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    skew_polynomials(),
+    series(),
+    st.sampled_from((F(13, 2), F(-1, 3), F(5, 12), F(0), F(4), F(12))),
+    st.sampled_from((None, -5, 0, 4)),
+)
+@example(SkewPolynomial.make({}), eisenstein("Q", 12), F(4), None)
+@example(SkewPolynomial.make({}), eisenstein("Q", 12), F(4), 4)
+@example(SkewPolynomial.d(3) + SkewPolynomial.from_poly(poly(0, 1)), QExpansion.zero(20), F(-1, 3), -5)
+@example(
+    SkewPolynomial.make({4: poly(1, 0, F(3, 2**61 - 1)), 1: poly(0, 2, F(-5, 1728))}),
+    QExpansion.make([F(i * i - 7, 1000003) for i in range(40)], F(-1, 3)),
+    F(5, 12),
+    0,
+)
+def test_apply_matches_serre_tower(op, f, k, shift):
+    terms = None if shift is None else max(f.truncation_order + shift, 0)
+    got = op.apply(f, k, terms)
+    assert got == tower_apply(op, f, k, terms)
+    assert all(type(c) is Fraction for c in got.coeffs)
