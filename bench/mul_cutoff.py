@@ -9,9 +9,9 @@ four paths on the same inputs:
   before the integer kernel (skipped above ``FRACTION_MAX_N`` for the
   high-height family, where one product takes minutes);
 * ``schoolbook_s`` and ``kronecker_s``: the two integer kernels of
-  ``modforms.qseries`` on the cleared numerators;
-* ``mul_s``: ``QExpansion.__mul__`` end to end (clearing denominators, the
-  kernel chosen by ``KRONECKER_CUTOFF``, building the Fractions).
+  ``modforms.qseries`` on the stored numerators (``QExpansion.nums``);
+* ``mul_s``: ``QExpansion.__mul__`` end to end (the kernel chosen by
+  ``KRONECKER_CUTOFF`` and one reduction of the result).
 
 Families: ``eisenstein`` is E4 * E6 (dense, integral); ``height`` is two
 dense series with 256-bit numerators over denominators 1728^k, the size of
@@ -33,7 +33,7 @@ import time
 from fractions import Fraction
 
 from modforms.classical import eisenstein, euler_product
-from modforms.qseries import KRONECKER_CUTOFF, QExpansion, _clear_denominators, _kronecker, _schoolbook
+from modforms.qseries import KRONECKER_CUTOFF, QExpansion, _kronecker, _schoolbook
 
 SIZES = (16, 32, 64, 128, 256, 1024, 4096)
 CROSSOVER_SIZES = (4, 8, 12, 16, 24, 32, 48, 64, 96, 128)
@@ -94,8 +94,7 @@ def main():
     for family in ("eisenstein", "height"):
         for n in SIZES:
             f, g = operands(family, n, rng)
-            _, a = _clear_denominators(f.coeffs)
-            _, b = _clear_denominators(g.coeffs)
+            a, b = f.nums, g.nums
             product = f * g
             assert _schoolbook(a, b) == _kronecker(a, b)
             row = {
@@ -122,8 +121,7 @@ def main():
             else:
                 f = eisenstein("Q", n - 1) if shape == "dense" else euler_product(n - 1)
                 g = eisenstein("R", n - 1)
-            _, a = _clear_denominators(f.coeffs)
-            _, b = _clear_denominators(g.coeffs)
+            a, b = f.nums, g.nums
             school, kron = paired_medians(lambda: _schoolbook(a, b), lambda: _kronecker(a, b))
             crossover.append({"shape": shape, "n": n, "schoolbook_s": school, "kronecker_s": kron})
             print(json.dumps(crossover[-1]), file=sys.stderr)

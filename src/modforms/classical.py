@@ -25,7 +25,7 @@ from operator import add, mul
 
 from . import linalg
 from .errors import AmbiguousTruncation, NotInM, OddWeight
-from .qseries import DEFAULT_TERMS, QExpansion, _clear_denominators, _coerce, _int_product
+from .qseries import DEFAULT_TERMS, QExpansion, _coerce, _int_product
 
 
 def _sigma(power: int, n: int) -> int:
@@ -44,16 +44,16 @@ def _sigma(power: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def eisenstein(kind: str, terms: int = DEFAULT_TERMS) -> QExpansion:
-    """Exact expansion of P (quasimodular E2), Q = E4 or R = E6 to ``terms``."""
+    """Exact expansion of P (quasimodular E2, as 12P over 12), Q = E4 or R = E6 to ``terms``."""
     if kind == "Q":
-        coeffs = [Fraction(1)] + [Fraction(240 * _sigma(3, n)) for n in range(1, terms + 1)]
+        nums, den = [1] + [240 * _sigma(3, n) for n in range(1, terms + 1)], 1
     elif kind == "R":
-        coeffs = [Fraction(1)] + [Fraction(-504 * _sigma(5, n)) for n in range(1, terms + 1)]
+        nums, den = [1] + [-504 * _sigma(5, n) for n in range(1, terms + 1)], 1
     elif kind == "P":
-        coeffs = [Fraction(-1, 12)] + [Fraction(2 * _sigma(1, n)) for n in range(1, terms + 1)]
+        nums, den = [-1] + [24 * _sigma(1, n) for n in range(1, terms + 1)], 12
     else:
         raise ValueError(f"unknown Eisenstein kind {kind!r} (expected P, Q or R)")
-    return QExpansion(Fraction(0), tuple(coeffs))
+    return QExpansion._from_ints(Fraction(0), nums, den)
 
 
 def delta(terms: int = DEFAULT_TERMS) -> QExpansion:
@@ -66,7 +66,7 @@ def delta(terms: int = DEFAULT_TERMS) -> QExpansion:
 @functools.lru_cache(maxsize=None)
 def euler_product(terms: int = DEFAULT_TERMS) -> QExpansion:
     """prod_{n>=1} (1 - q^n) via the pentagonal number theorem."""
-    coeffs = [Fraction(0)] * (terms + 1)
+    coeffs = [0] * (terms + 1)
     k = 0
     while True:
         done = True
@@ -78,7 +78,7 @@ def euler_product(terms: int = DEFAULT_TERMS) -> QExpansion:
         if done:
             break
         k += 1
-    return QExpansion(Fraction(0), tuple(coeffs))
+    return QExpansion._from_ints(Fraction(0), coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,7 +94,7 @@ def eta_power(h: int, terms: int = DEFAULT_TERMS) -> QExpansion:
             acc = acc * base
         base = base * base
         e >>= 1
-    return QExpansion(Fraction(h, 24), acc.coeffs)
+    return QExpansion._from_ints(Fraction(h, 24), acc.nums)
 
 
 def dim_M(weight: int) -> int:
@@ -257,8 +257,8 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
         raise NotInM(f"leading exponent {f.leading} is not a nonnegative integer")
     if f.horizon < terms:
         raise AmbiguousTruncation(f"series only known through q^{f.horizon}, need q^{terms}")
-    columns = [to_qexpansion(PolynomialQR.monomial(u, v), terms) for u, v in basis]
-    a = [[col.coefficient(n) for col in columns] for n in range(terms + 1)]
+    # monomials are integer series from q^0 on: their numerators are the columns
+    a = list(zip(*(to_qexpansion(PolynomialQR.monomial(u, v), terms).nums for u, v in basis)))
     b = [f.coefficient(n) for n in range(terms + 1)]
     x = linalg.solve_overdetermined(a, b)
     if x is None:
@@ -271,9 +271,9 @@ def _apply_theta_form(den: int, h: list, f: QExpansion) -> QExpansion:
 
     With f = q^(r/s) sum A_i q^i / d, theta^l f has numerators (r + s i)^l A_i
     over s^l d: one integer product per nonconstant h[l], a scalar multiply
-    per constant one, and each output Fraction is built once.
+    per constant one, and one reduction of the result.
     """
-    d, col = _clear_denominators(f.coeffs)
+    d, col = f.den, f.nums
     r, s = f.leading.numerator, f.leading.denominator
     steps = range(r, r + s * len(col), s)
     acc = _int_product(h[0], col)
@@ -281,8 +281,7 @@ def _apply_theta_form(den: int, h: list, f: QExpansion) -> QExpansion:
         col = list(map(mul, col, steps))
         # Horner in s: once every l is in, term l carries s^(top - l)
         acc = list(map(add, map(mul, repeat(s), acc), _int_product(hl, col)))
-    scale = den * s ** (len(h) - 1) * d
-    return QExpansion(f.leading, tuple(Fraction(x, scale) for x in acc))
+    return QExpansion._from_ints(f.leading, acc, den * s ** (len(h) - 1) * d)
 
 
 def _theta_form(terms, k, n: int) -> tuple[int, list]:
@@ -291,10 +290,10 @@ def _theta_form(terms, k, n: int) -> tuple[int, list]:
     Returns (den, h), each h[l] n + 1 int numerators.  T_0 = 1 and T_{j+1} =
     D T_j, by the one Serre step D = theta + w P, w = k + 2j: with a = 12 den(w)
     and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1}, den -> a den.
-    Each c_j enters as to_qexpansion(c_j) times T_j.
+    Each c_j enters as to_qexpansion(c_j) times T_j, a constant c_j as a scalar.
     """
     k = Fraction(k)
-    p12 = _clear_denominators(eisenstein("P", n).coeffs)[1]
+    p12 = eisenstein("P", n).nums
     zero, ramp = [0] * (n + 1), range(n + 1)
     tower, tower_den = [[1] + zero[1:]], 1
     den, h = 1, []
@@ -307,11 +306,11 @@ def _theta_form(terms, k, n: int) -> tuple[int, list]:
                 for hl, prev in zip(tower + [zero], [zero] + tower)
             ]
             tower_den *= a
-        c_den, c = _clear_denominators(to_qexpansion(c, n).coeffs)
-        u = math.lcm(den, c_den * tower_den) // den
-        v = den * u // (c_den * tower_den)
+        c = to_qexpansion(c, n) if c.weight else QExpansion.one(n).scale(c.constant_term())
+        u = math.lcm(den, c.den * tower_den) // den
+        v = den * u // (c.den * tower_den)
         h = [
-            [u * x + v * y for x, y in zip(hl, _int_product(c, t))]
+            [u * x + v * y for x, y in zip(hl, _int_product(c.nums, t))]
             for hl, t in zip_longest(h, tower, fillvalue=zero)
         ]
         den *= u
@@ -322,13 +321,13 @@ def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     """D(f) = theta(f) + k P f, with f regarded at weight k; raises weight by 2.
 
     With k = k_num / k_den the operator is (k_num 12P + 12 k_den theta) /
-    (12 k_den), and 12P has integer coefficients: one integer multiply.
+    (12 k_den), and P holds the integers 12P: one integer multiply.
     """
     k = _coerce(k)
-    p12 = _clear_denominators(eisenstein("P", f.truncation_order).coeffs)[1]
+    p12 = eisenstein("P", f.truncation_order).nums
     if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
-    n, scale = len(f.coeffs), 12 * k.denominator
+    n, scale = len(f.nums), 12 * k.denominator
     h = [list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1)]
     return _apply_theta_form(scale, h, f)
 

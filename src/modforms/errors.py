@@ -78,9 +78,9 @@ class NotIndecomposable(ModformError):
 class DependentGenerators(ModformError):
     """A claimed free generating set is linearly dependent over M."""
 
-    def __init__(self, weight, message=None):
+    def __init__(self, weight):
         self.weight = weight
-        super().__init__(message or f"dependent generators detected in weight {weight}")
+        super().__init__(f"dependent generators detected in weight {weight}")
 
 
 class NonConvergent(UserWarning):

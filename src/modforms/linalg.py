@@ -1,8 +1,8 @@
 """Small exact algebra over the rationals: row reduction and dense polynomials.
 
-Gaussian elimination on lists of `fractions.Fraction` rows.  All matrices
-in this package are desk-scale (tens of rows), so no pivoting strategy
-beyond "first nonzero" is needed; arithmetic is exact.
+Gaussian elimination on rows of ints or `fractions.Fraction`s.  All
+matrices in this package are desk-scale (tens of rows), so no pivoting
+strategy beyond "first nonzero" is needed; arithmetic is exact.
 
 Dense polynomials are coefficient lists in ascending degree, over ints or
 Fractions.  Division is by monic divisors only (leading coefficient 1), so

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import skew
@@ -37,7 +37,7 @@ from .errors import (
     RootsOutOfRange,
 )
 from .linalg import _poly_divmod, _poly_eval, _poly_mul, solve_overdetermined
-from .qseries import QExpansion, _clear_denominators
+from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
 
@@ -66,10 +66,10 @@ def _rational_roots(poly):
             roots.append(Fraction(0))
             work = work[1:]
             continue
-        ints = _clear_denominators(work)[1]
+        d = lcm(*(c.denominator for c in work))
         found = None
-        for num in sorted(_divisors(ints[0])):
-            for den in sorted(_divisors(ints[-1])):
+        for num in sorted(_divisors(int(work[0] * d))):
+            for den in sorted(_divisors(int(work[-1] * d))):
                 for sgn in (1, -1):
                     cand = Fraction(sgn * num, den)
                     if _poly_eval(work, cand) == 0:
@@ -157,8 +157,8 @@ def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
     With L = sum_l h_l theta^l / den, coefficient n of L f vanishes when
     a_n = -(sum_l sum_{i<n} h_{l,n-i} (root + i)^l a_i) / (den I(root + n)).
     For root = r/s and a_i = A_i / den_a, column l holds the ints
-    (r + s i)^l A_i, so the O(p N^2) work is C-level integer dot products and
-    only a_n is a Fraction.  Raises NotARoot if root misses the indicial
+    (r + s i)^l A_i (column 0 holds the result), so the O(p N^2) work is
+    C-level integer dot products.  Raises NotARoot if root misses the indicial
     polynomial and ResonantRoot if I(root + n) vanishes for some 1 <= n <= N.
     """
     root = Fraction(root)
@@ -171,24 +171,23 @@ def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
         raise NotARoot(f"{root} is not an indicial root")
     # s^(p-l) h_l for each h_l with terms past q^0, reversed: table[N - n:] starts at q^n
     tables = {l: [x * s ** (p - l) for x in hl[:0:-1]] for l, hl in enumerate(h) if any(hl[1:])}
-    cols = {l: [r**l] for l in tables}
-    den_a, a = 1, [Fraction(1)]
+    cols = {l: [r**l] for l in {0, *tables}}
+    den_a = 1
     for n in range(1, n_terms + 1):
-        total = sum(sum(map(mul, tables[l][n_terms - n :], col)) for l, col in cols.items())
+        total = sum(sum(map(mul, table[n_terms - n :], cols[l])) for l, table in tables.items())
         x = r + s * n
         denom = _poly_eval(indicial, x)
         if denom == 0:
             raise ResonantRoot(f"indicial polynomial vanishes again at {root} + {n}")
-        a.append(Fraction(-total, denom * den_a))
-        v = a[n].denominator
-        if den_a % v:
-            m = v // gcd(den_a, v)
+        q = denom * den_a  # a_n = -total / q; den_a grows to a multiple of its denominator
+        m = lcm(den_a, abs(q) // gcd(total, q)) // den_a
+        if m != 1:
             cols = {l: list(map(mul, col, repeat(m))) for l, col in cols.items()}
             den_a *= m
-        num = a[n].numerator * (den_a // v)
+        num = -total * den_a // q
         for l, col in cols.items():
             col.append(num * x**l)
-    return QExpansion(root, tuple(a))
+    return QExpansion._from_ints(root, cols[0], den_a)
 
 
 def fundamental_system(equation: MLDE, n_terms: int) -> VVMF:
@@ -267,7 +266,7 @@ class ResidualReport:
 def verify_solution(equation: MLDE, f: QExpansion, n_terms: int) -> ResidualReport:
     """Apply the operator through the skew ring and report the residual."""
     residual = equation.to_skew().apply(f, equation.weight, n_terms)
-    for n, c in enumerate(residual.coeffs):
-        if c != 0:
-            return ResidualReport(False, residual.truncation_order, residual.leading + n, c)
+    for n, x in enumerate(residual.nums):
+        if x:
+            return ResidualReport(False, residual.truncation_order, residual.leading + n, Fraction(x, residual.den))
     return ResidualReport(True, residual.truncation_order, None, None)

@@ -1,18 +1,19 @@
 """Truncated q-expansions with a fractional leading exponent.
 
-A series is stored as ``q^leading * (c_0 + c_1 q + ... + c_N q^N)`` where
-``leading`` is an exact rational and every c_n is a `fractions.Fraction`.
-There is no floating-point coefficient domain: `evaluate` converts to
-complex on the fly, and float or complex coefficients are rejected.
+A series is ``q^leading * (A_0 + A_1 q + ... + A_N q^N) / den``: an exact
+rational leading exponent, int numerators A_n and one int den > 0 with
+gcd(den, A_0, ..., A_N) = 1, the canonical layout of FLINT's ``fmpq_poly``,
+so equal series have equal fields.  Operations work on the numerators: a
+sum rescales both to the lcm of the denominators, a product convolves them
+over the product of the denominators, and each result is reduced once.
+``coeffs`` builds the Fractions on access.  Float or complex coefficients
+are rejected; `evaluate` divides each numerator by den on the fly.
 
-Products are computed over the integers.  Each operand's coefficients are
-scaled by the lcm of their denominators, the integer numerators are
-convolved, and every output coefficient is divided once by the product of
-the two lcms.  A constant factor is a scalar multiply.  Short products use
-a schoolbook convolution that skips zero coefficients (eta products are
-sparse); from ``KRONECKER_CUTOFF`` terms on, both operands are packed into
-one integer each and multiplied once (Kronecker substitution), so the
-quadratic work happens inside CPython's big-integer multiply.
+A constant factor is a scalar multiply.  Short products use a schoolbook
+convolution that skips zero coefficients (eta products are sparse); from
+``KRONECKER_CUTOFF`` terms on, both operands are packed into one integer
+each and multiplied once (Kronecker substitution), so the quadratic work
+happens inside CPython's big-integer multiply.
 
 Truncation is knowledge, not padding: terms beyond ``q^(leading+N)`` are
 unknown, and every arithmetic operation propagates the largest truncation
@@ -49,14 +50,6 @@ def _coerce(c) -> Fraction:
     if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def _clear_denominators(coeffs) -> tuple[int, list[int]]:
-    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    if d == 1:
-        return 1, [c.numerator for c in coeffs]
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def _schoolbook(a: list[int], b: list[int]) -> list[int]:
@@ -111,30 +104,55 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
     return _schoolbook(a, b) if len(a) < KRONECKER_CUTOFF else _kronecker(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class QExpansion:
-    """Immutable truncated series ``q^leading * sum(c_n q^n, n=0..N)``."""
+    """Immutable truncated series ``q^leading * sum(nums[n] q^n, n=0..N) / den``."""
 
     leading: Fraction
-    coeffs: tuple
+    den: int
+    nums: tuple
+
+    def __init__(self, leading, coeffs):
+        """The series with the given Fraction, int or "num/den" string coefficients."""
+        coeffs = [_coerce(c) for c in coeffs]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "leading", Fraction(leading))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+
+    @staticmethod
+    def _from_ints(leading: Fraction, nums, den: int = 1) -> QExpansion:
+        """The series q^leading * sum(nums[n] q^n) / den for den > 0, reduced."""
+        g = math.gcd(den, *nums) if den != 1 else 1
+        f = object.__new__(QExpansion)
+        object.__setattr__(f, "leading", leading)
+        object.__setattr__(f, "den", den // g)
+        object.__setattr__(f, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
+        return f
 
     @staticmethod
     def make(coeffs, leading=0) -> QExpansion:
         """Build a series from an iterable of Fractions, ints or "num/den" strings."""
-        return QExpansion(Fraction(leading), tuple(_coerce(c) for c in coeffs))
+        return QExpansion(leading, coeffs)
 
     @staticmethod
     def zero(order: int = DEFAULT_TERMS) -> QExpansion:
         """The canonical zero series, known through q^order."""
-        return QExpansion(Fraction(0), (Fraction(0),) * (order + 1))
+        return QExpansion._from_ints(Fraction(0), (0,) * (order + 1))
 
     @staticmethod
     def one(order: int = DEFAULT_TERMS) -> QExpansion:
-        return QExpansion(Fraction(0), (Fraction(1),) + (Fraction(0),) * order)
+        return QExpansion._from_ints(Fraction(0), (1,) + (0,) * order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, built on each access."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def horizon(self) -> Fraction:
@@ -143,7 +161,7 @@ class QExpansion:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def coefficient(self, exponent) -> Fraction:
         """Coefficient of q^exponent; zero below the leading term or off-lattice."""
@@ -153,14 +171,14 @@ class QExpansion:
         offset = exponent - self.leading
         if offset < 0 or offset.denominator != 1:
             return Fraction(0)
-        return self.coeffs[int(offset)]
+        return Fraction(self.nums[int(offset)], self.den)
 
     def normalized(self) -> QExpansion:
         """Shift the leading exponent up so that c_0 != 0 (canonical zero if zero)."""
         if self.is_zero:
             return QExpansion.zero(max(math.floor(self.horizon), 0))
-        shift = next(i for i, c in enumerate(self.coeffs) if c != 0)
-        return QExpansion(self.leading + shift, self.coeffs[shift:])
+        shift = next(i for i, x in enumerate(self.nums) if x)
+        return QExpansion._from_ints(self.leading + shift, self.nums[shift:], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -176,7 +194,7 @@ class QExpansion:
             if keep < 0:
                 # the zero's knowledge ends below the live terms; there the sum is zero
                 return zero
-            return QExpansion(live.leading, live.coeffs[: keep + 1])
+            return live.truncate(min(keep, live.truncation_order))
         offset = self.leading - other.leading
         if offset.denominator != 1:
             raise NonIntegralOffset(
@@ -185,45 +203,40 @@ class QExpansion:
         low, high = (self, other) if offset <= 0 else (other, self)
         n_out = int(min(self.horizon, other.horizon) - low.leading)
         shift = int(high.leading - low.leading)
+        den = math.lcm(low.den, high.den)
         # the lower series is known everywhere the sum is; the higher one
         # contributes from its leading exponent on
-        coeffs = list(low.coeffs[: n_out + 1])
-        coeffs[shift:] = map(add, coeffs[shift:], high.coeffs[: n_out + 1 - shift])
-        return QExpansion(low.leading, tuple(coeffs))
+        nums = list(map(mul, repeat(den // low.den), low.nums[: n_out + 1]))
+        nums[shift:] = map(add, nums[shift:], map(mul, repeat(den // high.den), high.nums[: n_out + 1 - shift]))
+        return QExpansion._from_ints(low.leading, nums, den)
 
     def __sub__(self, other: QExpansion) -> QExpansion:
         return self + (-other)
 
     def __neg__(self) -> QExpansion:
-        return QExpansion(self.leading, tuple(-c for c in self.coeffs))
+        return QExpansion._from_ints(self.leading, [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, QExpansion):
             return self.scale(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        da, a = _clear_denominators(self.coeffs[:n])
-        db, b = _clear_denominators(other.coeffs[:n])
-        product = _int_product(a, b)
-        d = da * db
-        coeffs = map(Fraction, product) if d == 1 else (Fraction(c, d) for c in product)
-        return QExpansion(self.leading + other.leading, tuple(coeffs))
+        n = min(len(self.nums), len(other.nums))
+        product = _int_product(self.nums[:n], other.nums[:n])
+        return QExpansion._from_ints(self.leading + other.leading, product, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> QExpansion:
         c = _coerce(c)
-        if c == 0:
-            # zero on the same lattice, so no horizon knowledge is lost
-            return QExpansion(self.leading, (Fraction(0),) * len(self.coeffs))
-        return QExpansion(self.leading, tuple(c * a for a in self.coeffs))
+        # c == 0 gives zero on the same lattice, so no horizon knowledge is lost
+        nums = [c.numerator * x for x in self.nums]
+        return QExpansion._from_ints(self.leading, nums, self.den * c.denominator)
 
     def theta(self) -> QExpansion:
         """q d/dq: multiply the coefficient of q^(leading+n) by leading+n."""
-        return QExpansion(
-            self.leading,
-            tuple((self.leading + n) * c for n, c in enumerate(self.coeffs)),
-        )
+        r, s = self.leading.numerator, self.leading.denominator
+        nums = list(map(mul, range(r, r + s * len(self.nums), s), self.nums))
+        return QExpansion._from_ints(self.leading, nums, self.den * s)
 
     def truncate(self, order: int) -> QExpansion:
         """Drop coefficients beyond the given truncation order."""
@@ -235,14 +248,15 @@ class QExpansion:
             raise CannotExtend(
                 f"series known to order {self.truncation_order}, cannot extend to {order}"
             )
-        return QExpansion(self.leading, self.coeffs[: order + 1])
+        return QExpansion._from_ints(self.leading, self.nums[: order + 1], self.den)
 
     def evaluate(self, tau: complex) -> complex:
         """Sum the truncated series at a point of the upper half-plane.
 
         Fractional leading powers are evaluated as exp(2*pi*i*leading*tau)
-        directly, so there is no branch ambiguity.  Emits a ``NonConvergent``
-        warning if |q| > 1/2, where the truncation is unreliable.
+        directly, so there is no branch ambiguity; each int quotient A_n / den
+        stays finite for numerators far beyond the float range.  Emits a
+        ``NonConvergent`` warning if |q| > 1/2, where the truncation is unreliable.
         """
         tau = complex(tau)
         if tau.imag <= 0:
@@ -251,16 +265,16 @@ class QExpansion:
         if abs(q) > 0.5:
             warnings.warn("|q| > 0.5: truncated evaluation unreliable", NonConvergent)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * q + complex(c)
+        for x in reversed(self.nums):
+            acc = acc * q + x / self.den
         return acc * cmath.exp(_TWO_PI_I * self.leading * tau)
 
     def __str__(self) -> str:
         terms = []
-        for n, c in enumerate(self.coeffs[:8]):
-            if c == 0:
+        for n, x in enumerate(self.nums[:8]):
+            if not x:
                 continue
-            e = self.leading + n
+            c, e = Fraction(x, self.den), self.leading + n
             if e == 0:
                 terms.append(f"{c}")
             elif e == 1:

@@ -126,6 +126,18 @@ def test_evaluate_domain():
         f.evaluate(0.001j)
 
 
+def test_canonical_form():
+    # truncation can shrink the common denominator: the fields stay canonical
+    short = QExpansion.make([1, F(1, 3)]).truncate(0)
+    assert short == QExpansion.make([1]) and hash(short) == hash(QExpansion.make([1]))
+    assert short.den == 1 and short.nums == (1,)
+
+
+def test_evaluate_huge_numerators():
+    f = QExpansion.make([F(2**1100 + 1, 2**1100)])
+    assert abs(f.evaluate(1j) - 1) < 1e-15
+
+
 def test_evaluate_fractional_leading():
     # q^(1/2) at tau = i is e^(-pi)
     f = series(1, leading=F(1, 2))
@@ -213,3 +225,56 @@ def test_mul_matches_fraction_convolution(f, g):
     for product in (f * g, g * f):
         assert product == expected
         assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def assert_series(series, leading, coeffs):
+    """series is q^leading * coeffs, as reduced Fractions and in canonical form."""
+    assert series.leading == leading
+    assert series.coeffs == tuple(coeffs)
+    assert all(type(c) is Fraction for c in series.coeffs)
+    assert series.den > 0 and math.gcd(series.den, *series.nums) == 1
+
+
+def fraction_add(f: QExpansion, g: QExpansion):
+    """Reference sum of two nonzero series on one lattice, in Fraction arithmetic."""
+    low = min(f.leading, g.leading)
+    n_out = int(min(f.horizon, g.horizon) - low)
+    coeffs = [Fraction(0)] * (n_out + 1)
+    for series in (f, g):
+        shift = int(series.leading - low)
+        for i, c in enumerate(series.coeffs[: max(n_out + 1 - shift, 0)]):
+            coeffs[shift + i] += c
+    return low, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kernel_operands(),
+    kernel_operands(),
+    st.integers(0, 3),
+    st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=2**70)),
+    st.integers(0, 2 * KRONECKER_CUTOFF + 8),
+)
+@example(QExpansion.make([0, 0, F(2, 3), F(1, 3)], F(1, 3)), QExpansion.make([F(1, 3)]), 1, F(3, 2), 2)
+def test_ops_match_fraction_arithmetic(f, g, lift, c, order):
+    a = list(f.coeffs)
+    # g moved onto f's lattice, lift whole steps above or below it
+    g = QExpansion(f.leading + lift - 1, g.coeffs)
+    assert_series(-f, f.leading, [-x for x in a])
+    assert_series(f.scale(c), f.leading, [c * x for x in a])
+    assert_series(f.theta(), f.leading, [(f.leading + n) * x for n, x in enumerate(a)])
+    if order <= f.truncation_order:
+        assert_series(f.truncate(order), f.leading, a[: order + 1])
+    shift = next((n for n, x in enumerate(a) if x), None)
+    if shift is None:
+        assert_series(f.normalized(), 0, [Fraction(0)] * (max(math.floor(f.horizon), 0) + 1))
+    else:
+        assert_series(f.normalized(), f.leading + shift, a[shift:])
+    for n, x in enumerate(a):
+        assert f.coefficient(f.leading + n) == x
+    assert f.coefficient(f.leading - 1) == 0 and f.coefficient(f.leading - F(1, 2)) == 0
+    if f.truncation_order:
+        assert f.coefficient(f.leading + F(1, 2)) == 0
+    if not (f.is_zero or g.is_zero):
+        assert_series(f + g, *fraction_add(f, g))
+        assert_series(f - g, *fraction_add(f, QExpansion(g.leading, [-x for x in g.coeffs])))

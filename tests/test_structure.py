@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from modforms.classical import dim_M, eisenstein, delta
+from modforms.classical import dim_M, eisenstein, delta, eta_power
 from modforms.errors import (
     DependentGenerators,
     InsufficientTruncation,
@@ -24,6 +24,7 @@ from modforms.structure import (
     ps_cyclic,
     ps_from_weights,
 )
+from modforms.qseries import QExpansion
 from modforms.vvmf import VVMF, RepData, module_action, serre_vvmf
 
 F = Fraction
@@ -136,6 +137,18 @@ def test_free_basis_single_generator():
     report = free_basis_verify([form], 30, 48)
     assert report.ok
     assert all(count == dim_M(w - 4) for w, count in report.dims)
+
+
+def test_free_basis_zero_components_keep_the_lattice():
+    # the zero component of each generator leads at 0, off the 1/2 + Z lattice
+    # of eta^12; only nonzero components may fix where a slot's cells start
+    rep = RepData.make([0, F(1, 2)])
+    q_form = VVMF.make(4, rep, [eisenstein("Q", 20), QExpansion.zero(20)])
+    eta_form = VVMF.make(6, rep, [QExpansion.zero(20), eta_power(12, 20)])
+    report = free_basis_verify([q_form, eta_form], 20, 20)
+    assert report.ok and report.rank == 2
+    series = ps_from_weights([4, 6])
+    assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in range(4, 21) if ps_coefficient(series, w)]
 
 
 def test_free_basis_rejects_dependent(cyclic_system):
