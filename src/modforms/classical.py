@@ -266,8 +266,8 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     return PolynomialQR.make(weight, {basis[i]: x[i] for i in range(d)})
 
 
-def _apply_theta_form(den: int, h: list, f: QExpansion) -> QExpansion:
-    """(sum_l h[l] theta^l f) / den, for int numerator lists h[l] as long as f.
+def _apply_theta_form(den: int, h: tuple, f: QExpansion) -> QExpansion:
+    """(sum_l h[l] theta^l f) / den, for int numerator sequences h[l] as long as f.
 
     With f = q^(r/s) sum A_i q^i / d, theta^l f has numerators (r + s i)^l A_i
     over s^l d: one integer product per nonconstant h[l], a scalar multiply
@@ -284,13 +284,17 @@ def _apply_theta_form(den: int, h: list, f: QExpansion) -> QExpansion:
     return QExpansion._from_ints(f.leading, acc, den * s ** (len(h) - 1) * d)
 
 
-def _theta_form(terms, k, n: int) -> tuple[int, list]:
+@functools.lru_cache(maxsize=4)
+def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
     """Skew polynomial ``terms`` ((j, c_j) pairs) at weight k as sum_l h[l] theta^l / den.
 
-    Returns (den, h), each h[l] n + 1 int numerators.  T_0 = 1 and T_{j+1} =
-    D T_j, by the one Serre step D = theta + w P, w = k + 2j: with a = 12 den(w)
-    and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1}, den -> a den.
-    Each c_j enters as to_qexpansion(c_j) times T_j, a constant c_j as a scalar.
+    Returns (den, h), each h[l] a tuple of n + 1 int numerators.  T_0 = 1 and
+    T_{j+1} = D T_j, by the one Serre step D = theta + w P, w = k + 2j: with
+    a = 12 den(w) and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1},
+    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j, a constant
+    c_j as a scalar.  Cached, so the Frobenius solves of every root and the
+    verifications of every component of one system share one build; the
+    result is all tuples, so no caller can change a cached form.
     """
     k = Fraction(k)
     p12 = eisenstein("P", n).nums
@@ -314,7 +318,7 @@ def _theta_form(terms, k, n: int) -> tuple[int, list]:
             for hl, t in zip_longest(h, tower, fillvalue=zero)
         ]
         den *= u
-    return den, h
+    return den, tuple(map(tuple, h))
 
 
 def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
@@ -328,7 +332,7 @@ def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
     n, scale = len(f.nums), 12 * k.denominator
-    h = [list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1)]
+    h = (list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1))
     return _apply_theta_form(scale, h, f)
 
 

@@ -1,8 +1,12 @@
 """Small exact algebra over the rationals: row reduction and dense polynomials.
 
-Gaussian elimination on rows of ints or `fractions.Fraction`s.  All
-matrices in this package are desk-scale (tens of rows), so no pivoting
-strategy beyond "first nonzero" is needed; arithmetic is exact.
+One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) behind `rank`
+and `solve_overdetermined`: rows of ints or `fractions.Fraction`s are scaled
+to ints (and `rank` divides each column by its gcd), and every entry stays
+an int minor of that matrix, so no Fraction is built until the solve's
+back-substitution.  All matrices in this package are desk-scale (tens of
+rows or columns), so no pivoting strategy beyond "first nonzero" is needed;
+arithmetic is exact.
 
 Dense polynomials are coefficient lists in ascending degree, over ints or
 Fractions.  Division is by monic divisors only (leading coefficient 1), so
@@ -11,54 +15,78 @@ it never divides a coefficient and int inputs give int outputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 
-def _reduce(m: list[list], ncols: int) -> int:
-    """Gauss-Jordan on the rows of m in place; returns the number of pivots.
+def _int_rows(rows) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators; int rows come through unchanged."""
+    out = []
+    for row in rows:
+        den = math.lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
-    Pivots come from the first ncols columns only (a right-hand side after
-    them is carried along); the pass stops once every row is a pivot row.
+
+def _echelon(m: list[list[int]], ncols: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the int rows m in place.
+
+    Returns the pivot count r.  Pivots come from the first ncols columns only
+    (a right-hand side after them is carried along).  After the step on pivot
+    a each row below becomes (a row - f pivot_row) // prev, an exact division
+    by the previous pivot, so every entry stays an int minor of the input.
+    Then m[:r] is in echelon form and m[r:] vanishes on the first ncols columns.
     """
-    r, nrows = 0, len(m)
+    r, nrows, prev = 0, len(m), 1
     for col in range(ncols):
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
-        row = m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
+        top = m[r]
+        a = top[col]
+        for i in range(r + 1, nrows):
             f = m[i][col]
-            if i != r and f != 0:
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
+            m[i] = [(a * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = a
         r += 1
     return r
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of the matrix given as a list of rows."""
-    if not rows:
-        return 0
-    return _reduce([list(r) for r in rows], len(rows[0]))
+def rank(rows: list[list]) -> int:
+    """Exact rank of the matrix given as a list of rows of ints or Fractions."""
+    # Scaling a column keeps the rank.  A row over one common denominator
+    # carries it into every small early entry; dividing each column by its
+    # gcd takes it back out before the minors multiply it up.
+    cols = []
+    for col in zip(*_int_rows(rows)):
+        g = math.gcd(*col)
+        cols.append([x // g for x in col] if g > 1 else col)
+    return _echelon([list(row) for row in zip(*cols)], len(cols))
 
 
-def solve_overdetermined(a: list[list[Fraction]], b: list[Fraction]):
+def solve_overdetermined(a: list[list], b: list):
     """Solve A x = b exactly for A with full column rank and rows >= cols.
 
-    Returns the solution vector, or None when the system is inconsistent.
-    Raises ValueError if the columns are dependent (no unique solution).
+    Returns the solution vector of Fractions, or None when the system is
+    inconsistent.  Raises ValueError if the columns are dependent (no unique
+    solution).
     """
     ncols = len(a[0]) if a else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    if _reduce(aug, ncols) < ncols:
+    m = _int_rows([*row, y] for row, y in zip(a, b, strict=True))
+    if _echelon(m, ncols) < ncols:
         raise ValueError("columns are linearly dependent; solution not unique")
     # full column rank: row i is the pivot row of column i
-    if any(row[ncols] != 0 for row in aug[ncols:]):
+    if any(row[ncols] for row in m[ncols:]):
         return None
-    return [row[ncols] for row in aug[:ncols]]
+    x = [Fraction(0)] * ncols
+    for i in range(ncols - 1, -1, -1):
+        row = m[i]
+        x[i] = (row[ncols] - sum(map(mul, row[i + 1 : ncols], x[i + 1 :]))) / Fraction(row[i])
+    return x
 
 
 # -- dense polynomials, ascending coefficients ------------------------------

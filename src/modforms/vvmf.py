@@ -134,7 +134,12 @@ def is_essential(form: VVMF, n_terms: int) -> bool:
 
     Decided exactly from the coefficient matrix on the union of the component
     exponent lattices, capped at the smallest nonzero-component horizon so no
-    unknown coefficient is ever treated as zero.
+    unknown coefficient is ever treated as zero.  Full rank proves
+    independence.  Rank below p proves dependence only when the grid holds
+    every component through the Sturm bound (pk + p(p - 1))/12 of the
+    Wronskian of a holomorphic form: a nonzero combination vanishing through
+    that exponent would give a nonzero Wronskian of too high cusp order.
+    Below the bound this raises InsufficientTruncation.
     """
     p = form.p
     if n_terms + 1 < p:
@@ -145,7 +150,13 @@ def is_essential(form: VVMF, n_terms: int) -> bool:
     cap = min(f.horizon for f in live)
     grid = sorted({f.leading + n for f in live for n in range(n_terms + 1) if f.leading + n <= cap})
     rows = [[f.coefficient(e) for e in grid] for f in form.components]
-    return linalg.rank(rows) == p
+    if linalg.rank(rows) == p:
+        return True
+    top = min(cap, min(f.leading for f in live) + n_terms)  # every component is known through top
+    bound = Fraction(p * form.weight + p * (p - 1), 12)
+    if top < bound:
+        raise InsufficientTruncation(f"rank below {p} through q^{top}, under the Wronskian bound q^{bound}")
+    return False
 
 
 def evaluate_vec(form: VVMF, tau: complex):

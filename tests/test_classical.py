@@ -5,6 +5,7 @@ import pytest
 from modforms.classical import (
     EtaPower,
     PolynomialQR,
+    _theta_form,
     delta,
     dim_M,
     eisenstein,
@@ -184,3 +185,12 @@ def test_eta_power_type():
     assert e.weight == 5
     assert e.leading_exponent == F(5, 12)
     assert e.to_qexpansion(12) == eta_power(10, 12)
+
+
+def test_theta_form_is_immutable():
+    # the form is cached and shared, so it must be all tuples
+    eq = mlde_from_exponents([F(1, 12), F(5, 12), F(9, 12)])
+    den, h = _theta_form(eq.to_skew().terms, eq.weight, 8)
+    assert type(den) is int and type(h) is tuple
+    assert len(h) == 4 and all(type(hl) is tuple and len(hl) == 9 for hl in h)
+    assert _theta_form(eq.to_skew().terms, eq.weight, 8)[1] is h

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modforms.linalg import _poly_divmod, _poly_eval, _poly_mul, rank, solve_overdetermined
+from modforms.linalg import _echelon, _poly_divmod, _poly_eval, _poly_mul, rank, solve_overdetermined
 from modforms.structure import all_2dim_classes, coker_ps_difference
 
 F = Fraction
@@ -118,6 +119,83 @@ def test_solve_matches_reference(rows, data):
         else:
             b = data.draw(st.lists(st.fractions(max_denominator=12), min_size=len(rows), max_size=len(rows)))
     assert outcome(solve_overdetermined, rows, b) == outcome(reference_solve, rows, b)
+
+
+# -- the free_basis and from_qexpansion shapes: wide int rows, tall int systems --
+
+wide = st.integers(100, 400).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+big_ints = st.one_of(st.just(0), wide, wide, wide)  # about a quarter zeros
+
+
+@st.composite
+def wide_int_rows(draw):
+    """1-6 int rows of up to 80 columns, some led by zeros, some integer combinations of others.
+
+    Columns may share a large factor, as the early entries of rows over one
+    common denominator do.
+    """
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 80))
+    scales = draw(st.lists(st.sampled_from((1, 1, 2**61 - 1, 12**120)), min_size=ncols, max_size=ncols))
+    rows = []
+    for _ in range(nrows):
+        zeros = draw(st.integers(0, ncols))
+        cells = [0] * zeros + draw(st.lists(big_ints, min_size=ncols - zeros, max_size=ncols - zeros))
+        rows.append([c * s for c, s in zip(cells, scales)])
+    for dst in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        factors = draw(st.lists(st.integers(-(2**200), 2**200), min_size=nrows, max_size=nrows))
+        rows[dst] = [sum(c * row[j] for c, row in zip(factors, rows) if row is not rows[dst]) for j in range(ncols)]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_int_rows())
+@example([[0] * 80] * 6)
+@example([[2**400 + 1] * 80, [2**400 + 1] * 80])
+def test_rank_of_wide_int_rows(rows):
+    assert rank(rows) == reference_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_int_system_with_fraction_rhs(data):
+    ncols = data.draw(st.integers(1, 6))
+    nrows = data.draw(st.integers(ncols, 24))
+    rows = data.draw(st.lists(st.lists(big_ints, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if ncols > 1 and data.draw(st.integers(0, 4)) == 0:  # dependent columns
+        rows = [row[:-1] + [row[0] * 3] for row in rows]
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.fractions(max_denominator=2**89 - 1), min_size=ncols, max_size=ncols))
+        b = [sum((a * y for a, y in zip(row, x)), F(0)) for row in rows]
+    else:
+        b = data.draw(st.lists(st.fractions(max_denominator=2**61 - 1), min_size=nrows, max_size=nrows))
+    got = outcome(solve_overdetermined, rows, b)
+    assert got == outcome(reference_solve, rows, b)
+    if got[0] == "returned" and got[1] is not None:
+        assert all(type(y) is F for y in got[1])
+
+
+def leibniz_det(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(big_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0, 3, 1], [2, 0, 0], [0, 5, 7]])  # a row swap at the first step
+def test_echelon_entries_are_minors(rows):
+    # fraction-free: the last pivot of a nonsingular square matrix is its determinant, up to sign
+    m = [list(row) for row in rows]
+    r = _echelon(m, len(m))
+    det = leibniz_det(rows)
+    assert (r == len(rows)) == (det != 0)
+    if det:
+        assert abs(m[-1][-1]) == abs(det)
 
 
 def test_empty_matrix():

@@ -111,6 +111,23 @@ def test_is_essential():
         is_essential(two_dim(), 0)
 
 
+def test_is_essential_below_the_wronskian_bound():
+    # E4^6 and E4^6 + Delta^2 agree through q^1; the weight-50 Wronskian bound is q^(50/12)
+    e4 = eisenstein("Q", 16)
+    e4_6, d = e4 * e4 * e4 * e4 * e4 * e4, delta(16)
+    rep = RepData.make([0, 0])
+    form = VVMF.make(24, rep, [e4_6, e4_6 + d * d])
+    with pytest.raises(InsufficientTruncation):
+        is_essential(form, 1)
+    for n in range(2, 12):
+        assert is_essential(form, n)
+    # a dependent pair is proved dependent only from q^5 on
+    twice = VVMF.make(24, rep, [e4_6, e4_6.scale(2)])
+    with pytest.raises(InsufficientTruncation):
+        is_essential(twice, 4)
+    assert not is_essential(twice, 5)
+
+
 def test_evaluate_vec():
     rep = RepData.make([F(1, 12), 0])
     form = VVMF.make(1, rep, [eta_power(2, 64), QExpansion.zero(64)])
