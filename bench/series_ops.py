@@ -15,9 +15,16 @@ Uses only the public API, so the same script times any two source trees
   hundreds to thousands of bits; F * theta F, F + theta F, F scaled by -1/6,
   theta F and the Serre derivative of F at weight 4.
 
-``to_qexpansion`` maps the weight-40 element sum Q^u R^v / (1 + u + 2v) of
-M_40 (every monomial) to a series; it has no family.  Every time is the
-median of runs repeated until about 0.3 s has been spent (at most 200).
+``to_qexpansion`` maps the weight-40 element m = sum Q^u R^v / (1 + u + 2v)
+of M_40 (every monomial) to a series, ``from_qexpansion`` maps that series
+back to m, and ``delta`` builds the discriminant; these rows have no family
+and run with the library's caches as the earlier rows left them (warm).
+The ``cold`` rows of ``to_qexpansion`` and ``delta`` clear every cache in
+the library before each run, outside the timed region, the way
+``perfbench``'s ``Library.clear_caches`` does: every ``modforms`` module
+attribute that has, or wraps a function that has, ``cache_clear``.  Every
+time is the median of runs repeated until about 0.3 s has been spent (at
+most 200).
 """
 
 from __future__ import annotations
@@ -29,15 +36,36 @@ import sys
 import time
 from fractions import Fraction
 
-from modforms.classical import PolynomialQR, eisenstein, eta_power, monomial_basis, serre_derivative, to_qexpansion
+from modforms.classical import (
+    PolynomialQR,
+    delta,
+    eisenstein,
+    eta_power,
+    from_qexpansion,
+    monomial_basis,
+    serre_derivative,
+    to_qexpansion,
+)
 from modforms.mlde import fundamental_system, mlde_from_exponents
 
 SIZES = (64, 256, 512)
 
 
-def median_time(fn, budget=0.3):
+def clear_caches():
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modforms"):
+            for obj in list(vars(mod).values()):
+                while obj is not None and not hasattr(obj, "cache_clear"):
+                    obj = getattr(obj, "__wrapped__", None)
+                if obj is not None:
+                    obj.cache_clear()
+
+
+def median_time(fn, budget=0.3, before=None):
     times = []
     while len(times) < 200 and sum(times) < budget:
+        if before:
+            before()
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -60,14 +88,20 @@ def cases(n):
     yield "serre_derivative", "integral", lambda: serre_derivative(eta13, Fraction(13, 2))
     yield "serre_derivative", "rational", lambda: serre_derivative(f, 4)
     m = PolynomialQR.make(40, {(u, v): Fraction(1, 1 + u + 2 * v) for u, v in monomial_basis(40)})
+    f40 = to_qexpansion(m, n)
     yield "to_qexpansion", None, lambda: to_qexpansion(m, n)
+    yield "from_qexpansion", None, lambda: from_qexpansion(f40, 40)
+    yield "delta", None, lambda: delta(n)
+    yield "to_qexpansion", "cold", lambda: to_qexpansion(m, n)
+    yield "delta", "cold", lambda: delta(n)
 
 
 def main():
     rows = []
     for n in SIZES:
         for op, family, fn in cases(n):
-            rows.append({"op": op, "family": family, "n": n, "s": median_time(fn)})
+            before = clear_caches if family == "cold" else None
+            rows.append({"op": op, "family": family, "n": n, "s": median_time(fn, before=before)})
             print(json.dumps(rows[-1]), file=sys.stderr)
     print(json.dumps({"python": platform.python_version(), "machine": platform.machine(), "rows": rows}, indent=1))
 

@@ -4,7 +4,8 @@ M is the weighted polynomial algebra C[Q, R] on the Eisenstein series
 Q = E4 (weight 4) and R = E6 (weight 6).  This module provides exact
 q-expansions of the generators, the discriminant Delta and eta-powers,
 dimension and basis bookkeeping for each graded piece M_w, conversion
-between the polynomial picture and q-expansions, and the Serre derivative
+between the polynomial picture and q-expansions through one cached table of
+the integer series Q^u R^v (`_monomial`), and the Serre derivative
 
     D(f) = theta(f) + k * P * f      (f of weight k)
 
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .errors import AmbiguousTruncation, NotInM, OddWeight
@@ -56,11 +57,24 @@ def eisenstein(kind: str, terms: int = DEFAULT_TERMS) -> QExpansion:
     return QExpansion._from_ints(Fraction(0), nums, den)
 
 
+def _power(f: QExpansion, e: int) -> QExpansion:
+    """f^e to the truncation of f, by binary powering from the top bit of e."""
+    acc = f if e else QExpansion.one(f.truncation_order)
+    for bit in bin(e)[3:]:
+        acc = acc * acc * f if bit == "1" else acc * acc
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(u: int, v: int, terms: int) -> tuple:
+    """Int numerators of the integer series Q^u R^v through q^terms; keyed on terms like `eisenstein`."""
+    return (_power(eisenstein("Q", terms), u) * _power(eisenstein("R", terms), v)).nums
+
+
 def delta(terms: int = DEFAULT_TERMS) -> QExpansion:
     """The discriminant cusp form (Q^3 - R^2)/1728 = q - 24q^2 + ..."""
-    q4 = eisenstein("Q", terms)
-    q6 = eisenstein("R", terms)
-    return (q4 * q4 * q4 - q6 * q6).scale(Fraction(1, 1728))
+    rows = _monomial(3, 0, terms), _monomial(0, 2, terms)
+    return QExpansion._from_ints(Fraction(0), list(map(sub, *rows)), 1728)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,15 +100,7 @@ def eta_power(h: int, terms: int = DEFAULT_TERMS) -> QExpansion:
     """q-expansion of eta^h = q^(h/24) * prod(1-q^n)^h, by binary powering."""
     if h < 0:
         raise ValueError("eta exponent must be nonnegative")
-    acc = QExpansion.one(terms)
-    base = euler_product(terms)
-    e = h
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
-    return QExpansion._from_ints(Fraction(h, 24), acc.nums)
+    return QExpansion._from_ints(Fraction(h, 24), _power(euler_product(terms), h).nums)
 
 
 def dim_M(weight: int) -> int:
@@ -134,7 +140,7 @@ class PolynomialQR:
     def make(weight: int, coords) -> PolynomialQR:
         items = []
         for (u, v), c in dict(coords).items():
-            c = Fraction(c)
+            c = _coerce(c)
             if c == 0:
                 continue
             if u < 0 or v < 0 or 4 * u + 6 * v != weight:
@@ -144,7 +150,7 @@ class PolynomialQR:
 
     @staticmethod
     def monomial(u: int, v: int, c=1) -> PolynomialQR:
-        return PolynomialQR.make(4 * u + 6 * v, {(u, v): Fraction(c)})
+        return PolynomialQR.make(4 * u + 6 * v, {(u, v): c})
 
     @staticmethod
     def zero(weight: int = 0) -> PolynomialQR:
@@ -193,7 +199,7 @@ class PolynomialQR:
         return self.scale(other)
 
     def scale(self, c) -> PolynomialQR:
-        c = Fraction(c)
+        c = _coerce(c)
         if c == 0:
             return PolynomialQR.zero(self.weight)
         return PolynomialQR(self.weight, tuple((k, c * x) for k, x in self.coords))
@@ -218,21 +224,13 @@ class EtaPower:
 
 
 def to_qexpansion(m: PolynomialQR, terms: int = DEFAULT_TERMS) -> QExpansion:
-    """Substitute the Eisenstein expansions for Q and R."""
-    if m.is_zero:
-        return QExpansion.zero(terms)
-    q4 = eisenstein("Q", terms)
-    q6 = eisenstein("R", terms)
-    powers_q: dict[int, QExpansion] = {0: QExpansion.one(terms)}
-    powers_r: dict[int, QExpansion] = {0: QExpansion.one(terms)}
-    acc = QExpansion.zero(terms)
+    """Substitute the Eisenstein expansions for Q and R: a sum of `_monomial` rows over one lcm."""
+    den = math.lcm(*(c.denominator for _, c in m.coords))
+    acc = [0] * (terms + 1)
     for (u, v), c in m.coords:
-        for powers, base, e in ((powers_q, q4, u), (powers_r, q6, v)):
-            while e not in powers:
-                top = max(powers)
-                powers[top + 1] = powers[top] * base
-        acc = acc + (powers_q[u] * powers_r[v]).scale(c)
-    return acc
+        scale = repeat(c.numerator * (den // c.denominator))
+        acc = list(map(add, acc, map(mul, scale, _monomial(u, v, terms))))
+    return QExpansion._from_ints(Fraction(0), acc, den)
 
 
 def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> PolynomialQR:
@@ -249,6 +247,8 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     d = len(basis)
     if f.is_zero:
         return PolynomialQR.zero(weight)
+    if not d:
+        raise NotInM(f"M_{weight} is zero and the series is not")
     if terms + 1 < d:
         raise AmbiguousTruncation(
             f"{terms + 1} coefficients cannot determine a form in the {d}-dimensional M_{weight}"
@@ -258,7 +258,7 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     if f.horizon < terms:
         raise AmbiguousTruncation(f"series only known through q^{f.horizon}, need q^{terms}")
     # monomials are integer series from q^0 on: their numerators are the columns
-    a = list(zip(*(to_qexpansion(PolynomialQR.monomial(u, v), terms).nums for u, v in basis)))
+    a = list(zip(*(_monomial(u, v, terms) for u, v in basis)))
     b = [f.coefficient(n) for n in range(terms + 1)]
     x = linalg.solve_overdetermined(a, b)
     if x is None:
@@ -291,10 +291,10 @@ def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
     Returns (den, h), each h[l] a tuple of n + 1 int numerators.  T_0 = 1 and
     T_{j+1} = D T_j, by the one Serre step D = theta + w P, w = k + 2j: with
     a = 12 den(w) and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1},
-    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j, a constant
-    c_j as a scalar.  Cached, so the Frobenius solves of every root and the
-    verifications of every component of one system share one build; the
-    result is all tuples, so no caller can change a cached form.
+    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j.  Cached,
+    so the Frobenius solves of every root and the verifications of every
+    component of one system share one build; the result is all tuples, so no
+    caller can change a cached form.
     """
     k = Fraction(k)
     p12 = eisenstein("P", n).nums
@@ -310,7 +310,7 @@ def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
                 for hl, prev in zip(tower + [zero], [zero] + tower)
             ]
             tower_den *= a
-        c = to_qexpansion(c, n) if c.weight else QExpansion.one(n).scale(c.constant_term())
+        c = to_qexpansion(c, n)
         u = math.lcm(den, c.den * tower_den) // den
         v = den * u // (c.den * tower_den)
         h = [

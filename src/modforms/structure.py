@@ -221,7 +221,6 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
         min((g.components[j].leading for g in gens if not g.components[j].is_zero), default=0)
         for j in range(rep.p)
     ]
-    monos: dict = {}  # (u, v) -> Q^u R^v to depth, shared by every member and weight
     dims = []
     for w in range(min(weights), k_max + 1):
         members = []
@@ -241,9 +240,7 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
             )
         rows = []
         for i, u, v in members:
-            if (u, v) not in monos:
-                monos[u, v] = to_qexpansion(PolynomialQR.monomial(u, v), depth)
-            mono = monos[u, v]
+            mono = to_qexpansion(PolynomialQR.monomial(u, v), depth)
             prods = [mono * f for f in gens[i].components]
             # rank ignores row scaling: the row holds numerators over one lcm
             row_den = math.lcm(*(prod.den for prod in prods))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modforms.classical import (
     EtaPower,
@@ -194,3 +196,93 @@ def test_theta_form_is_immutable():
     assert type(den) is int and type(h) is tuple
     assert len(h) == 4 and all(type(hl) is tuple and len(hl) == 9 for hl in h)
     assert _theta_form(eq.to_skew().terms, eq.weight, 8)[1] is h
+
+
+def reference_to_qexpansion(m, terms):
+    """The M -> series map through series arithmetic, one power dict per call."""
+    if m.is_zero:
+        return QExpansion.zero(terms)
+    q4 = eisenstein("Q", terms)
+    q6 = eisenstein("R", terms)
+    powers_q = {0: QExpansion.one(terms)}
+    powers_r = {0: QExpansion.one(terms)}
+    acc = QExpansion.zero(terms)
+    for (u, v), c in m.coords:
+        for powers, base, e in ((powers_q, q4, u), (powers_r, q6, v)):
+            while e not in powers:
+                top = max(powers)
+                powers[top + 1] = powers[top] * base
+        acc = acc + (powers_q[u] * powers_r[v]).scale(c)
+    return acc
+
+
+@st.composite
+def polynomials(draw):
+    """Random subsets of the monomial basis of M_w, w <= 60, with large or shared denominators."""
+    w = 2 * draw(st.integers(0, 30))
+    basis = monomial_basis(w)
+    chosen = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis))) if basis else []
+    dens = st.sampled_from([1, 7, 1728, 2**61 - 1])
+    return PolynomialQR.make(w, {b: F(draw(st.integers(-(10**6), 10**6)), draw(dens)) for b in chosen})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), st.integers(0, 40), st.integers(0, 40))
+@example(PolynomialQR.zero(12), KRONECKER_CUTOFF, KRONECKER_CUTOFF - 1)
+@example(PolynomialQR.make(60, {(15, 0): F(1, 7), (0, 10): F(-3, 1728)}), KRONECKER_CUTOFF - 1, 40)
+def test_to_qexpansion_matches_reference(m, n1, n2):
+    # two truncations per example, so one N's table cannot stand in for another's
+    for n in (n1, n2):
+        assert to_qexpansion(m, n) == reference_to_qexpansion(m, n)
+    for n in (n1, n2):
+        if n + 1 >= dim_M(m.weight):
+            assert from_qexpansion(to_qexpansion(m, n), m.weight) == m
+
+
+def test_to_qexpansion_of_a_high_power():
+    m = PolynomialQR.monomial(1200, 0)
+    f = to_qexpansion(m, 4)
+    assert f.nums[:3] == (1, 288000, 41440032000)
+    assert f == reference_to_qexpansion(m, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, 70])
+def test_delta_matches_series_arithmetic(n):
+    q4, q6 = eisenstein("Q", n), eisenstein("R", n)
+    assert delta(n) == (q4 * q4 * q4 - q6 * q6).scale(F(1, 1728))
+
+
+def test_eta_power_matches_repeated_multiplication():
+    for n in (0, KRONECKER_CUTOFF - 3, KRONECKER_CUTOFF + 20):
+        acc = QExpansion.one(n)
+        for h in range(31):
+            assert eta_power(h, n) == QExpansion.make(acc.coeffs, F(h, 24))
+            acc = acc * euler_product(n)
+
+
+def test_round_trip_through_the_table():
+    m = PolynomialQR.make(60, {(u, v): F(u - v, 1 + u * 1728) for u, v in monomial_basis(60)})
+    for n in (KRONECKER_CUTOFF, 40):
+        assert from_qexpansion(to_qexpansion(m, n), 60) == m
+
+
+def test_from_qexpansion_where_M_w_is_zero():
+    for w in (2, -4):
+        with pytest.raises(NotInM):
+            from_qexpansion(delta(10), w)
+        assert from_qexpansion(QExpansion.zero(10), w) == PolynomialQR.zero(w)
+
+
+def test_polynomial_rejects_floats():
+    q = PolynomialQR.monomial(1, 0)
+    for bad in (
+        lambda: PolynomialQR.make(4, {(1, 0): 0.1}),
+        lambda: PolynomialQR.monomial(1, 0, 0.5),
+        lambda: q.scale(0.5),
+        lambda: q * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    third = PolynomialQR.make(4, {(1, 0): "1/3"})
+    assert third == PolynomialQR.monomial(1, 0, F(1, 3)) == q.scale("1/3")
+    assert q.scale(3) == PolynomialQR.make(4, {(1, 0): 3})
