@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 bench/series_ops.py > timings.json
 
 Uses only the public API, so the same script times any two source trees
-(point PYTHONPATH at each).  For every truncation N in ``SIZES`` it times
+(point PYTHONPATH at each).  ``SIZES`` runs from the short products of a few
+terms (N >= 3, so that ``from_qexpansion`` of M_40, of dimension 4, is
+determined) to N 512.  For every truncation N in ``SIZES`` it times
 ``*``, ``+``, ``scale``, ``theta``, ``to_qexpansion`` and
 ``serre_derivative`` on two operand families:
 
@@ -48,7 +50,7 @@ from modforms.classical import (
 )
 from modforms.mlde import fundamental_system, mlde_from_exponents
 
-SIZES = (64, 256, 512)
+SIZES = (4, 8, 15, 64, 256, 512)
 
 
 def clear_caches():

@@ -67,8 +67,12 @@ def _power(f: QExpansion, e: int) -> QExpansion:
 
 @functools.lru_cache(maxsize=None)
 def _monomial(u: int, v: int, terms: int) -> tuple:
-    """Int numerators of the integer series Q^u R^v through q^terms; keyed on terms like `eisenstein`."""
-    return (_power(eisenstein("Q", terms), u) * _power(eisenstein("R", terms), v)).nums
+    """Int numerators of the integer series Q^u R^v through q^terms; keyed on terms like `eisenstein`.
+
+    Only a factor with a nonzero exponent is built, so Q^u alone never expands R.
+    """
+    factors = [_power(eisenstein(kind, terms), e) for kind, e in (("Q", u), ("R", v)) if e]
+    return functools.reduce(mul, factors or [QExpansion.one(terms)]).nums
 
 
 def delta(terms: int = DEFAULT_TERMS) -> QExpansion:
@@ -332,6 +336,9 @@ def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
     n, scale = len(f.nums), 12 * k.denominator
+    # One level, written here rather than built by `_theta_form`: through its
+    # tower an uncached call took 127 instead of 72 us at N 64, 325 instead of
+    # 215 us at N 176 (E4 at weight 4, best of 300; 2-core VM, Python 3.11).
     h = (list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1))
     return _apply_theta_form(scale, h, f)
 

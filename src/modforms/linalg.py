@@ -4,9 +4,11 @@ One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) behind `rank`
 and `solve_overdetermined`: rows of ints or `fractions.Fraction`s are scaled
 to ints (and `rank` divides each column by its gcd), and every entry stays
 an int minor of that matrix, so no Fraction is built until the solve's
-back-substitution.  All matrices in this package are desk-scale (tens of
-rows or columns), so no pivoting strategy beyond "first nonzero" is needed;
-arithmetic is exact.
+back-substitution.  Matrices here have tens of rows but may be wide:
+`structure.free_basis_verify` hands `rank` one column per known coefficient
+of each component, p(N+1) of them (1026 for p = 2 at N 512).  Arithmetic is
+exact and every entry is a minor whatever the pivot order, so no pivoting
+strategy beyond "first nonzero" is needed.
 
 Dense polynomials are coefficient lists in ascending degree, over ints or
 Fractions.  Division is by monic divisors only (leading coefficient 1), so

@@ -9,11 +9,10 @@ over the product of the denominators, and each result is reduced once.
 ``coeffs`` builds the Fractions on access.  Float or complex coefficients
 are rejected; `evaluate` divides each numerator by den on the fly.
 
-A constant factor is a scalar multiply.  Short products use a schoolbook
-convolution that skips zero coefficients (eta products are sparse); from
-``KRONECKER_CUTOFF`` terms on, both operands are packed into one integer
-each and multiplied once (Kronecker substitution), so the quadratic work
-happens inside CPython's big-integer multiply.
+A constant factor is a scalar multiply.  Every other product packs both
+operands into one integer each and multiplies once (Kronecker
+substitution), so the quadratic work happens inside CPython's big-integer
+multiply at every length.
 
 Truncation is knowledge, not padding: terms beyond ``q^(leading+N)`` are
 unknown, and every arithmetic operation propagates the largest truncation
@@ -36,10 +35,6 @@ from .errors import CannotExtend, NonConvergent, NonIntegralOffset
 #: Truncation used by convenience constructors when none is given.
 DEFAULT_TERMS = 64
 
-#: Products with at least this many coefficients use Kronecker substitution,
-#: shorter ones the schoolbook convolution; measured in BENCH_2.json.
-KRONECKER_CUTOFF = 16
-
 _TWO_PI_I = 2j * math.pi
 
 
@@ -52,22 +47,6 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _schoolbook(a: list[int], b: list[int]) -> list[int]:
-    """First len(a) coefficients of a*b (len(a) == len(b)), skipping zeros.
-
-    The operand with more zero coefficients drives the outer loop, so a
-    sparse factor such as the Euler product costs one pass per nonzero term.
-    """
-    if a.count(0) < b.count(0):
-        a, b = b, a
-    n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            out[i:] = map(add, out[i:], map(mul, repeat(x), b[: n - i]))
-    return out
-
-
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """First len(a) coefficients of a*b (len(a) == len(b)) by one big multiply.
 
@@ -75,12 +54,12 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     bytes with 2^(w-1) above every output coefficient, so no output digit
     overflows its slot.  Slots are packed and read back through bytes with
     an offset of 2^(w-1), which turns the signed digits into unsigned ones.
+    Neither operand is constant (`_int_product` scales those), so both
+    have a nonzero coefficient.
     """
     n = len(a)
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    if not top_a or not top_b:
-        return [0] * n
-    bound = top_a * top_b * n  # no less than top_a or top_b, so the inputs fit too
+    bound = top_a * top_b * n  # top_a, top_b >= 1, so no less than either: the inputs fit too
     width = bound.bit_length() // 8 + 1  # bytes; 2^(8*width - 1) > bound
     size = width * n
     half = 1 << (8 * width - 1)
@@ -97,11 +76,14 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_product(a: list[int], b: list[int]) -> list[int]:
-    """First len(a) coefficients of a*b (len(a) == len(b)), kernel chosen by size."""
+    """First len(a) coefficients of a*b (len(a) == len(b)): one Kronecker multiply.
+
+    A constant factor (a zero one included) only scales the other operand.
+    """
     for x, y in ((a, b), (b, a)):
-        if not any(islice(x, 1, None)):  # a constant factor only scales
+        if not any(islice(x, 1, None)):
             return [x[0] * c for c in y]
-    return _schoolbook(a, b) if len(a) < KRONECKER_CUTOFF else _kronecker(a, b)
+    return _kronecker(a, b)
 
 
 @dataclass(frozen=True, init=False, slots=True)

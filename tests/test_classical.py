@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from modforms.classical import (
     EtaPower,
     PolynomialQR,
+    _monomial,
     _theta_form,
     delta,
     dim_M,
@@ -21,7 +22,7 @@ from modforms.classical import (
 )
 from modforms.errors import AmbiguousTruncation, NotInM, OddWeight
 from modforms.mlde import mlde_from_exponents, solve_frobenius
-from modforms.qseries import KRONECKER_CUTOFF, QExpansion
+from modforms.qseries import QExpansion
 
 F = Fraction
 
@@ -139,7 +140,7 @@ def theta_plus_kpf(f, k, terms=None):
     return out.truncate(terms) if terms is not None and terms < out.truncation_order else out
 
 
-SERRE_SIZES = (KRONECKER_CUTOFF - 5, KRONECKER_CUTOFF, KRONECKER_CUTOFF + 40)
+SERRE_SIZES = (16 - 5, 16, 16 + 40)
 
 
 @pytest.mark.parametrize("n", SERRE_SIZES)
@@ -228,8 +229,8 @@ def polynomials(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(polynomials(), st.integers(0, 40), st.integers(0, 40))
-@example(PolynomialQR.zero(12), KRONECKER_CUTOFF, KRONECKER_CUTOFF - 1)
-@example(PolynomialQR.make(60, {(15, 0): F(1, 7), (0, 10): F(-3, 1728)}), KRONECKER_CUTOFF - 1, 40)
+@example(PolynomialQR.zero(12), 16, 16 - 1)
+@example(PolynomialQR.make(60, {(15, 0): F(1, 7), (0, 10): F(-3, 1728)}), 16 - 1, 40)
 def test_to_qexpansion_matches_reference(m, n1, n2):
     # two truncations per example, so one N's table cannot stand in for another's
     for n in (n1, n2):
@@ -246,14 +247,14 @@ def test_to_qexpansion_of_a_high_power():
     assert f == reference_to_qexpansion(m, 4)
 
 
-@pytest.mark.parametrize("n", [0, 1, KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, 70])
+@pytest.mark.parametrize("n", [0, 1, 16 - 1, 16, 70])
 def test_delta_matches_series_arithmetic(n):
     q4, q6 = eisenstein("Q", n), eisenstein("R", n)
     assert delta(n) == (q4 * q4 * q4 - q6 * q6).scale(F(1, 1728))
 
 
 def test_eta_power_matches_repeated_multiplication():
-    for n in (0, KRONECKER_CUTOFF - 3, KRONECKER_CUTOFF + 20):
+    for n in (0, 16 - 3, 16 + 20):
         acc = QExpansion.one(n)
         for h in range(31):
             assert eta_power(h, n) == QExpansion.make(acc.coeffs, F(h, 24))
@@ -262,8 +263,17 @@ def test_eta_power_matches_repeated_multiplication():
 
 def test_round_trip_through_the_table():
     m = PolynomialQR.make(60, {(u, v): F(u - v, 1 + u * 1728) for u, v in monomial_basis(60)})
-    for n in (KRONECKER_CUTOFF, 40):
+    for n in (16, 40):
         assert from_qexpansion(to_qexpansion(m, n), 60) == m
+
+
+def test_monomial_expands_only_nonzero_powers():
+    for (u, v), entries in (((3, 0), 1), ((0, 2), 1), ((0, 0), 0)):
+        eisenstein.cache_clear()
+        _monomial.cache_clear()
+        _monomial(u, v, 20)
+        assert eisenstein.cache_info().currsize == entries
+    assert _monomial(0, 0, 20) == (1,) + (0,) * 20
 
 
 def test_from_qexpansion_where_M_w_is_zero():

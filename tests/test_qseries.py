@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modforms.errors import CannotExtend, NonConvergent, NonIntegralOffset
-from modforms.qseries import KRONECKER_CUTOFF, QExpansion
+from modforms.classical import eisenstein, euler_product
+from modforms.qseries import QExpansion
 
 F = Fraction
 
@@ -197,9 +198,9 @@ DENOMINATORS = (1, 12, 1728, 1000003, 2**89 - 1)
 
 @st.composite
 def kernel_operands(draw):
-    """Series on both sides of the Kronecker cutoff: dense, sparse or zero,
-    integral or over mixed denominators, up to hundreds of bits per coefficient."""
-    n = draw(st.integers(1, 2 * KRONECKER_CUTOFF + 8))
+    """Series of 1 to 40 terms: dense, sparse or zero, integral or over mixed
+    denominators, up to hundreds of bits per coefficient."""
+    n = draw(st.integers(1, 2 * 16 + 8))
     shape = draw(st.sampled_from(("dense", "sparse", "zero")))
     top = 2 ** draw(st.sampled_from((1, 20, 64, 400)))
     denominators = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=1, max_size=3))
@@ -212,13 +213,25 @@ def kernel_operands(draw):
     return QExpansion(leading, tuple(draw(st.lists(coeff, min_size=n, max_size=n))))
 
 
+def high_height(n: int, leading) -> QExpansion:
+    """n dense coefficients with 256-bit numerators of both signs over 1728 and 7."""
+    return QExpansion.make([F((-1) ** i * (2**255 + 7 * i), 1728 if i % 2 else 7) for i in range(n)], leading)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_operands(), kernel_operands())
 @example(
-    QExpansion.make([2**300 - 1] * (KRONECKER_CUTOFF + 5), F(1, 12)),
-    QExpansion.make([F(-(2**299), 1728)] * (KRONECKER_CUTOFF + 9), F(5, 6)),
+    QExpansion.make([2**300 - 1] * (16 + 5), F(1, 12)),
+    QExpansion.make([F(-(2**299), 1728)] * (16 + 9), F(5, 6)),
 )
-@example(QExpansion.zero(KRONECKER_CUTOFF + 3), QExpansion.make(range(1, KRONECKER_CUTOFF + 2)))
+@example(QExpansion.zero(16 + 3), QExpansion.make(range(1, 16 + 2)))
+@example(high_height(2, F(1, 12)), high_height(2, F(5, 6)))
+@example(high_height(8, 0), high_height(8, F(13, 24)))
+@example(high_height(15, F(1, 3)), high_height(15, 2))
+@example(euler_product(1), eisenstein("R", 1))
+@example(euler_product(7), eisenstein("R", 7))
+@example(euler_product(14), eisenstein("R", 14))
+@example(QExpansion.make([F(-7, 12)] + [0] * 7), high_height(8, F(1, 12)))
 @example(QExpansion.make([F(1, 2**89 - 1)]), QExpansion.make([F(-7, 12), 5]))
 def test_mul_matches_fraction_convolution(f, g):
     expected = fraction_convolution(f, g)
@@ -253,7 +266,7 @@ def fraction_add(f: QExpansion, g: QExpansion):
     kernel_operands(),
     st.integers(0, 3),
     st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=2**70)),
-    st.integers(0, 2 * KRONECKER_CUTOFF + 8),
+    st.integers(0, 2 * 16 + 8),
 )
 @example(QExpansion.make([0, 0, F(2, 3), F(1, 3)], F(1, 3)), QExpansion.make([F(1, 3)]), 1, F(3, 2), 2)
 def test_ops_match_fraction_arithmetic(f, g, lift, c, order):
