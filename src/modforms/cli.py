@@ -183,7 +183,7 @@ def _cmd_monodromy(args) -> int:
         "relations": serialize.relation_to_json(report),
     }
     lines = [f"rho(S) for k0 = {equation.weight}:"]
-    for row in rho.tolist():
+    for row in rho:
         lines.append("  " + "  ".join(f"{z:.6f}" for z in row))
     lines.append(f"rho(S)^2 = {report.sign:+d} I (residual {report.s_squared_residual:.2e})")
     lines.append(f"(rho(S)rho(T))^3 residual {report.braid_residual:.2e}")

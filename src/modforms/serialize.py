@@ -4,7 +4,7 @@ Round trips are byte-stable: encoding, decoding, and re-encoding reproduces
 the same document.  Series coefficients are always exact rationals; complex
 numbers appear only in monodromy matrices, as [re, im] pairs.  Decoders
 read rationals as strings, ints or Fractions and integer fields as exact
-integers: a JSON float raises TypeError instead of being rounded.
+integers: a JSON float or bool raises TypeError instead of being rounded.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import json
 from fractions import Fraction
 
 from .classical import PolynomialQR
-from .mlde import MLDE, IndicialData, ResidualReport
+from .mlde import MLDE, IndicialData
 from .qseries import QExpansion, _coerce
 from .structure import FreeBasisReport, PoincareSeries, TwoDimClass
-from .vvmf import VVMF, RelationReport, RepData, ValidationReport
+from .vvmf import VVMF, RelationReport, RepData
 
 
 def fraction_to_json(x) -> str:
@@ -24,7 +24,9 @@ def fraction_to_json(x) -> str:
 
 
 def _integer(x) -> int:
-    """An integer field given as an int or an exact string; never a float."""
+    """An integer field given as an int or an exact string; never a float or a bool."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
     value = _coerce(x)
     if value.denominator != 1:
         raise ValueError(f"{x!r} is not an integer")
@@ -110,11 +112,11 @@ def matrix_from_json(rows) -> list:
 
 def vvmf_from_json(doc: dict) -> VVMF:
     rep_doc = doc["rep"]
-    rho_S = rep_doc.get("rho_S")
+    rho_S, sign = rep_doc.get("rho_S"), rep_doc.get("s_squared_sign")
     rep = RepData.make(
         [_coerce(m) for m in rep_doc["exponents"]],
         matrix_from_json(rho_S) if rho_S is not None else None,
-        rep_doc.get("s_squared_sign"),
+        _integer(sign) if sign is not None else None,
     )
     return VVMF.make(
         _integer(doc["weight"]), rep, [qexpansion_from_json(c) for c in doc["components"]]
@@ -143,34 +145,12 @@ def twodim_to_json(cls: TwoDimClass) -> dict:
     }
 
 
-def validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "components": [
-            {"index": c.index, "ok": c.ok, "message": c.message} for c in report.components
-        ],
-    }
-
-
 def relation_to_json(report: RelationReport) -> dict:
     return {
         "ok": report.ok,
         "sign": report.sign,
         "s_squared_residual": report.s_squared_residual,
         "braid_residual": report.braid_residual,
-    }
-
-
-def residual_to_json(report: ResidualReport) -> dict:
-    return {
-        "ok": report.ok,
-        "order_checked": report.order_checked,
-        "first_nonzero_exponent": None
-        if report.first_nonzero_exponent is None
-        else fraction_to_json(report.first_nonzero_exponent),
-        "first_nonzero_value": None
-        if report.first_nonzero_value is None
-        else fraction_to_json(report.first_nonzero_value),
     }
 
 

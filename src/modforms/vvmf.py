@@ -8,17 +8,15 @@ nonnegative integer.
 
 rho(S) is never needed exactly: it is recovered numerically from a
 fundamental system by sampling tau on the unit circle, which the S-involution
-tau -> -1/tau preserves.
+tau -> -1/tau preserves.  Numeric matrices are tuples of row tuples of complex.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .classical import serre_derivative
@@ -52,12 +50,8 @@ class RepData:
     def p(self) -> int:
         return len(self.exponents)
 
-    def rho_T(self) -> np.ndarray:
-        return np.diag([cmath.exp(2j * math.pi * float(m)) for m in self.exponents])
-
     def with_rho_S(self, matrix, sign=None) -> RepData:
-        rows = tuple(tuple(complex(x) for x in row) for row in matrix)
-        return replace(self, rho_S=rows, s_squared_sign=sign)
+        return RepData.make(self.exponents, matrix, sign)
 
 
 @dataclass(frozen=True)
@@ -179,11 +173,36 @@ def default_sample_points(p: int):
     return [cmath.exp(1j * t) for t in thetas]
 
 
-def recover_rho_S(form: VVMF, points=None) -> np.ndarray:
+def _matmul(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, column)) for column in zip(*b)] for row in a]
+
+
+def _norm1(matrix) -> float:
+    return max(sum(map(abs, column)) for column in zip(*matrix))
+
+
+def _inverse(matrix):
+    """V^-1 by Gauss-Jordan with partial pivoting; raises unless kappa_1 = ||V||_1 ||V^-1||_1 <= 1e8."""
+    p = len(matrix)
+    rows = [[complex(x) for x in row] + [complex(i == j) for j in range(p)] for i, row in enumerate(matrix)]
+    for c in range(p):
+        pivot = max(range(c, p), key=lambda r: abs(rows[r][c]))
+        if rows[pivot][c] == 0:
+            raise SingularSampleMatrix("sample value matrix is singular; pick new points")
+        rows[pivot], rows[c] = rows[c], [x / rows[pivot][c] for x in rows[pivot]]
+        rows = [row if r == c else [x - row[c] * y for x, y in zip(row, rows[c])] for r, row in enumerate(rows)]
+    inverse = [row[p:] for row in rows]
+    if _norm1(matrix) * _norm1(inverse) > 1e8:  # the 1-norm, which LAPACK's xGECON estimates
+        raise SingularSampleMatrix("sample value matrix is numerically singular; pick new points")
+    return inverse
+
+
+def recover_rho_S(form: VVMF, points=None) -> tuple:
     """Solve tau^{-k} F(-1/tau_l) = X F(tau_l) for the monodromy matrix X.
 
-    Wants an essential form and p sample points; raises SingularSampleMatrix
-    when the value matrix [f_j(tau_l)] is too ill-conditioned to invert.
+    For an essential form and p sample points, returns X = W V^-1 (V = [f_j(tau_l)], W the
+    slashed values) as a tuple of row tuples of complex.  Raises SingularSampleMatrix on an
+    exactly zero pivot of V or a condition number kappa_1 = ||V||_1 ||V^-1||_1 above 1e8.
     """
     p = form.p
     if points is None:
@@ -191,13 +210,9 @@ def recover_rho_S(form: VVMF, points=None) -> np.ndarray:
     points = [complex(t) for t in points]
     if len(points) != p:
         raise ValueError(f"need exactly {p} sample points")
-    value = np.array([[f.evaluate(t) for t in points] for f in form.components])
-    if np.linalg.cond(value) > 1e8:
-        raise SingularSampleMatrix("sample value matrix is numerically singular; pick new points")
-    slashed = np.array(
-        [[t ** (-form.weight) * f.evaluate(-1 / t) for t in points] for f in form.components]
-    )
-    return np.linalg.solve(value.T, slashed.T).T
+    inverse = _inverse([[f.evaluate(t) for t in points] for f in form.components])
+    slashed = [[t ** (-form.weight) * f.evaluate(-1 / t) for t in points] for f in form.components]
+    return tuple(tuple(row) for row in _matmul(slashed, inverse))
 
 
 @dataclass(frozen=True)
@@ -208,16 +223,21 @@ class RelationReport:
     braid_residual: float
 
 
+def _distance(a, b) -> float:
+    return max(abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
+
+
 def check_relations(rep: RepData, tol: float = 1e-6) -> RelationReport:
-    """Verify rho(S)^2 = +-I and (rho(S) rho(T))^3 = rho(S)^2 numerically."""
+    """Verify rho(S)^2 = +-I and (rho(S) rho(T))^3 = rho(S)^2 to tol in the largest entrywise error.
+
+    rho(T) = diag(e^{2 pi i m_j}), so rho(S) rho(T) scales column j of rho(S) by e^{2 pi i m_j}.
+    """
     if rep.rho_S is None:
         raise ValueError("rep carries no rho_S")
-    s = np.array(rep.rho_S)
-    eye = np.eye(rep.p)
-    s2 = s @ s
-    res_plus = float(np.max(np.abs(s2 - eye)))
-    res_minus = float(np.max(np.abs(s2 + eye)))
+    s2 = _matmul(rep.rho_S, rep.rho_S)
+    eye = [[float(i == j) for j in range(rep.p)] for i in range(rep.p)]
+    res_plus, res_minus = _distance(s2, eye), _distance(s2, [[-x for x in row] for row in eye])
     sign, s2_res = (1, res_plus) if res_plus <= res_minus else (-1, res_minus)
-    st = s @ rep.rho_T()
-    braid_res = float(np.max(np.abs(st @ st @ st - s2)))
+    st = [[x * cmath.exp(2j * math.pi * float(m)) for x, m in zip(row, rep.exponents)] for row in rep.rho_S]
+    braid_res = _distance(_matmul(_matmul(st, st), st), s2)
     return RelationReport(s2_res < tol and braid_res < tol, sign, s2_res, braid_res)

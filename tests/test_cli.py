@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -57,6 +59,20 @@ def test_monodromy_values(capsys):
     re, im = doc["rho_S"][0][0]
     assert abs(re) < 1e-6 and abs(im + 1) < 1e-6
     assert doc["relations"]["ok"] and doc["relations"]["sign"] == -1
+
+
+def test_monodromy_imports_no_numpy():
+    # a fresh process, so a lazy import anywhere under main() shows in sys.modules
+    child = (
+        "import sys\nfrom modforms.cli import main\n"
+        "code = main(['monodromy', '--mlde', '1/12,5/12,9/12', '--terms', '24'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_domain_error_exit_code(capsys):
@@ -169,6 +185,7 @@ DOCUMENTS = {
     "float_coeffs": json.dumps([{"weight": 4, "coords": {"1,0": -1 / 6}}]),
     "float_mlde": json.dumps({"weight": 4, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": -1 / 6}}]}),
     "half_weight": json.dumps({"weight": 4.5, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
+    "bool_weight": json.dumps({"weight": True, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
     "no_weight": json.dumps({"order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
     "malformed": "{not json",
     "scalar": "7",
@@ -198,10 +215,11 @@ def documents(tmp_path_factory):
         ["monodromy", "--mlde", "@directory", "--terms", "8"],
         ["monodromy", "--mlde", "@no_weight", "--terms", "8"],
         ["monodromy", "--mlde", "@half_weight", "--terms", "8"],
+        ["monodromy", "--mlde", "@bool_weight", "--terms", "8"],
         ["verify-basis", "--mlde", "@float_mlde", "--terms", "8"],
     ],
     ids=["coeffs_missing", "coeffs_directory", "coeffs_float", "mlde_directory", "mlde_no_weight",
-         "mlde_half_weight", "mlde_float"],
+         "mlde_half_weight", "mlde_bool_weight", "mlde_float"],
 )
 def test_bad_document_is_a_json_error(capsys, documents, argv):
     assert main([documents.get(a, a) for a in argv]) == 1

@@ -62,3 +62,21 @@ def test_poincare_round_trip():
     doc = serialize.poincare_to_json(ps)
     assert doc["numerator"] == {"4": 1, "6": 1}
     assert serialize.poincare_from_json(doc) == ps
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [("vvmf", "s_squared_sign", 1.0), ("vvmf", "s_squared_sign", True), ("mlde", "weight", True)],
+    ids=["sign_float", "sign_bool", "weight_bool"],
+)
+def test_integer_fields_reject_floats_and_bools(kind, field, value):
+    if kind == "vvmf":
+        rep = RepData.make([F(5, 12)], rho_S=[[-1j]], s_squared_sign=-1)
+        doc = serialize.vvmf_to_json(VVMF.make(5, rep, [eta_power(10, 8)]))
+        doc["rep"][field] = value
+    else:
+        doc = serialize.mlde_to_json(mlde_from_exponents([0, F(5, 6)]))
+        doc[field] = value
+    decode = serialize.vvmf_from_json if kind == "vvmf" else serialize.mlde_from_json
+    with pytest.raises(TypeError):
+        decode(doc)

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modforms.classical import delta, eisenstein, eta_power, serre_derivative
 from modforms.errors import InsufficientTruncation, SingularSampleMatrix
 from modforms.qseries import QExpansion
 from modforms.vvmf import (
+    _inverse,
+    _matmul,
+    _norm1,
     VVMF,
     RepData,
     check_relations,
@@ -148,14 +153,14 @@ def test_default_sample_points():
 def test_recover_rho_s_eta_powers(k0, want):
     # oracle: eta(-1/tau) = sqrt(-i tau) eta(tau), so rho(S) = (-i)^{k0}
     rho = recover_rho_S(eta_form(k0, 80))
-    assert abs(rho[0, 0] - (-1j) ** k0) < 1e-6
-    assert abs(rho[0, 0] - want) < 1e-6
+    assert abs(rho[0][0] - (-1j) ** k0) < 1e-6
+    assert abs(rho[0][0] - want) < 1e-6
 
 
 def test_recover_rho_s_e4():
     form = VVMF.make(4, RepData.make([0]), [eisenstein("Q", 80)])
     rho = recover_rho_S(form)
-    assert abs(rho[0, 0] - 1) < 1e-6
+    assert abs(rho[0][0] - 1) < 1e-6
 
 
 def test_recover_rho_s_singular_points():
@@ -184,3 +189,88 @@ def test_check_relations_failure():
     report = check_relations(rep)
     assert not report.ok
     assert report.braid_residual > 0.1
+
+
+# -- numpy as the reference for the pure-Python p x p numerics ------------------
+
+PART = st.floats(-1, 1).map(lambda x: x if abs(x) > 1e-6 else 0.0)  # no subnormal scales
+ENTRY = st.one_of(st.just(0j), st.builds(complex, PART, PART))
+
+
+@st.composite
+def value_pairs(draw, min_p=1):
+    """(V, W): p x p complex matrices, V from well-conditioned to nearly singular."""
+    p = draw(st.integers(min_p, 5))
+    v, w = (draw(st.lists(st.lists(ENTRY, min_size=p, max_size=p), min_size=p, max_size=p)) for _ in "vw")
+    if p > 1 and draw(st.booleans()):  # column dst moves within eps of column src
+        src, dst = draw(st.permutations(range(p)))[:2]
+        eps = 10.0 ** -draw(st.integers(0, 14))
+        for row in v:
+            row[dst] = row[src] + eps * row[dst]
+    return v, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_pairs())
+@example(([[0j, 1], [1, 0]], [[1, 2j], [3, 4]]))  # a zero leading entry needs a row swap
+@example(([[1e-20, 1], [1, 1]], [[1, 0], [0, 1]]))  # a tiny leading entry needs one too
+@example(([[1, 0, 0], [0, 0, 1], [0, 1e-3, 0]], [[1, 1, 1], [0, 1, 0], [1j, 0, 2]]))
+def test_inverse_matches_numpy(pair):
+    v, w = pair
+    kappa_2 = np.linalg.cond(np.array(v))
+    if kappa_2 < 1e6:
+        inverse = _inverse(v)
+        want = np.linalg.solve(np.array(v).T, np.array(w).T).T
+        x = np.array(_matmul(w, inverse))
+        assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want)
+        kappa_1 = _norm1(v) * _norm1(inverse)
+        assert abs(kappa_1 - np.linalg.cond(np.array(v), 1)) <= 1e-8 * kappa_1
+    elif kappa_2 > 1e10:  # kappa_1 >= kappa_2 / p
+        with pytest.raises(SingularSampleMatrix):
+            _inverse(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_pairs(min_p=2), st.data())
+def test_inverse_rejects_a_repeated_column(pair, data):
+    v, _ = pair
+    src, dst = data.draw(st.permutations(range(len(v))))[:2]
+    for row in v:
+        row[dst] = row[src]
+    with pytest.raises(SingularSampleMatrix):
+        _inverse(v)
+
+
+def test_inverse_threshold_is_the_one_norm():
+    # ||V||_1 = ||V^-1||_1 = 1 + a (column sums), ||V||_inf = ||V^-1||_inf = 1 + 2a (row sums)
+    def upper(a):
+        return [[1, a, a], [0, 1, 0], [0, 0, 1]]
+
+    inverse = _inverse(upper(6000.0))  # kappa_1 = 3.6e7, kappa_inf = 1.44e8
+    assert np.allclose(np.array(inverse), np.linalg.inv(np.array(upper(6000.0))))
+    with pytest.raises(SingularSampleMatrix):
+        _inverse(upper(12000.0))  # kappa_1 = 1.44e8
+
+
+def _reference_residuals(rho_s, exponents):
+    s = np.array(rho_s)
+    eye = np.eye(len(exponents))
+    s2 = s @ s
+    res_plus, res_minus = np.max(np.abs(s2 - eye)), np.max(np.abs(s2 + eye))
+    s_t = s @ np.diag([cmath.exp(2j * cmath.pi * float(m)) for m in exponents])
+    return res_plus, res_minus, np.max(np.abs(s_t @ s_t @ s_t - s2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_pairs(), st.lists(st.integers(0, 11), min_size=5, max_size=5))
+@example(([[-1j]], None), [1, 0, 0, 0, 0])
+def test_check_relations_matches_numpy(pair, twelfths):
+    rho_s, _ = pair
+    exponents = [F(i, 12) for i in twelfths[: len(rho_s)]]
+    report = check_relations(RepData.make(exponents, rho_S=rho_s))
+    res_plus, res_minus, braid_res = _reference_residuals(rho_s, exponents)
+    if abs(res_plus - res_minus) > 1e-12 * max(1, res_plus):  # a near tie may round either way
+        assert report.sign == (1 if res_plus < res_minus else -1)
+    s2_res = min(res_plus, res_minus)
+    assert abs(report.s_squared_residual - s2_res) <= 1e-12 * max(1, s2_res)
+    assert abs(report.braid_residual - braid_res) <= 1e-12 * max(1, braid_res)
