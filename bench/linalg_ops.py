@@ -1,20 +1,21 @@
-"""Timings of exact rank and solve at several truncations.
+"""Timings of exact rank and of from_qexpansion at several truncations.
 
     PYTHONPATH=src python3 bench/linalg_ops.py > timings.json
 
 Uses only the public API, so the same script times any two source trees
 (point PYTHONPATH at each).  For every truncation N in ``SIZES`` it times
-``linalg.rank`` and ``linalg.solve_overdetermined`` on the matrices that
-``free_basis_verify`` and ``from_qexpansion`` build:
+``linalg.rank`` on the matrices that ``free_basis_verify`` builds and
+``from_qexpansion`` on series of large weight:
 
 * ``rank``, family ``free``: the rows of weight 60 for the generators F, DF
   of the (0, 5/6) fundamental system (the members F Q^u R^v of weight 60
   and DF Q^u R^v, one row of 2(N + 1) int numerators over the row lcm
   each); family ``dependent``: the same rows for F and Q F, whose rank
   falls short by the overlap of their multiples;
-* ``solve``, families ``M40`` and ``M120``: the (N + 1) x dim M_w system
-  of monomial columns Q^u R^v against the coefficients of sum Q^u R^v /
-  (1 + u + 2v), for w = 40 and 120.
+* ``from_qexpansion``, families ``M40`` and ``M120``: the series through
+  q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of M_w, for w = 40
+  and 120, mapped back to that element (shape: N + 1 checked coefficients
+  by dim M_w).
 
 It also times criterion 9, ``free_basis_verify([F, DF], 60, 64)``.  Every
 time is the median of runs repeated until about 0.5 s has been spent (at
@@ -31,8 +32,8 @@ import sys
 import time
 from fractions import Fraction
 
-from modforms.classical import PolynomialQR, eisenstein, monomial_basis, to_qexpansion
-from modforms.linalg import rank, solve_overdetermined
+from modforms.classical import PolynomialQR, eisenstein, from_qexpansion, monomial_basis, to_qexpansion
+from modforms.linalg import rank
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import free_basis_verify
 from modforms.vvmf import module_action, serre_vvmf
@@ -69,12 +70,10 @@ def weight_rows(gens, w, n):
     return rows
 
 
-def solve_system(w, n):
-    """The system from_qexpansion solves for sum Q^u R^v / (1 + u + 2v) in M_w."""
-    basis = monomial_basis(w)
-    f = to_qexpansion(PolynomialQR.make(w, {(u, v): Fraction(1, 1 + u + 2 * v) for u, v in basis}), n)
-    a = [list(r) for r in zip(*(to_qexpansion(PolynomialQR.monomial(u, v), n).nums for u, v in basis))]
-    return a, [f.coefficient(i) for i in range(n + 1)], len(basis)
+def weight_form(w, n):
+    """sum Q^u R^v / (1 + u + 2v) over the monomials of M_w, and its series through q^n."""
+    m = PolynomialQR.make(w, {(u, v): Fraction(1, 1 + u + 2 * v) for u, v in monomial_basis(w)})
+    return m, to_qexpansion(m, n)
 
 
 def cases(n):
@@ -86,10 +85,9 @@ def cases(n):
         assert want is None and got < len(rows) or got == want, (family, got)
         yield "rank", family, f"{len(rows)}x{len(rows[0])}", lambda rows=rows: rank(rows)
     for w in (40, 120):
-        a, b, d = solve_system(w, n)
-        x = solve_overdetermined(a, b)
-        assert x == [Fraction(1, 1 + u + 2 * v) for u, v in monomial_basis(w)]
-        yield "solve", f"M{w}", f"{len(a)}x{d}", lambda a=a, b=b: solve_overdetermined(a, b)
+        m, f = weight_form(w, n)
+        assert from_qexpansion(f, w) == m
+        yield "from_qexpansion", f"M{w}", f"{n + 1}x{len(m.coords)}", lambda f=f, w=w: from_qexpansion(f, w)
 
 
 def main():

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import repeat, zip_longest
 from operator import add, mul, sub
 
-from . import linalg
 from .errors import AmbiguousTruncation, NotInM, OddWeight
 from .qseries import DEFAULT_TERMS, QExpansion, _coerce, _int_product
 
@@ -240,15 +239,17 @@ def to_qexpansion(m: PolynomialQR, terms: int = DEFAULT_TERMS) -> QExpansion:
 def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> PolynomialQR:
     """Recover the unique element of M_weight matching f to ``terms`` coefficients.
 
-    Solved by exact elimination against the monomial basis; raises NotInM when
-    the overdetermined system is inconsistent (f is not a form of this weight,
-    at least to the checked depth) and AmbiguousTruncation when fewer than
-    dim M_weight coefficients are known.
+    With d = dim M_weight, Miller's basis B_j = Delta^j Q^(a - 3j) R^b (j < d,
+    4a + 6b = weight, b = 0 or 1) has j-th member q^j + O(q^(j+1)) with
+    integer coefficients, so forward substitution on the first d
+    coefficients of f gives the coordinates without a division.  Raises
+    NotInM when that form differs from f through q^terms (f is not a form of
+    this weight, at least to the checked depth) and AmbiguousTruncation when
+    fewer than d coefficients are known.
     """
     if terms is None:
-        terms = f.truncation_order if not f.is_zero else dim_M(weight)
-    basis = monomial_basis(weight)
-    d = len(basis)
+        terms = f.truncation_order
+    d = dim_M(weight)
     if f.is_zero:
         return PolynomialQR.zero(weight)
     if not d:
@@ -261,13 +262,25 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
         raise NotInM(f"leading exponent {f.leading} is not a nonnegative integer")
     if f.horizon < terms:
         raise AmbiguousTruncation(f"series only known through q^{f.horizon}, need q^{terms}")
-    # monomials are integer series from q^0 on: their numerators are the columns
-    a = list(zip(*(_monomial(u, v, terms) for u, v in basis)))
-    b = [f.coefficient(n) for n in range(terms + 1)]
-    x = linalg.solve_overdetermined(a, b)
-    if x is None:
+    # the numerators of f at q^0..q^terms
+    lead = int(f.leading)
+    known = [0] * min(lead, terms + 1) + list(f.nums[: max(terms + 1 - lead, 0)])
+    # Delta^j = (Q^3 - R^2)^j / 1728^j, so B_j = sum_i (-1)^i C(j, i) Q^(a - 3i) R^(b + 2i) / 1728^j
+    b = weight % 4 // 2
+    a = (weight - 6 * b) // 4
+    rest, result = known[:d], PolynomialQR.zero(weight)
+    for j in range(d):
+        x = rest[j]
+        if x:
+            coords = {(a - 3 * i, b + 2 * i): Fraction((-1) ** i * math.comb(j, i), 1728**j) for i in range(j + 1)}
+            m = PolynomialQR.make(weight, coords)
+            # B_j = q^j + O(q^(j+1)) over the integers: subtracting x B_j clears q^j
+            rest[j:] = map(sub, rest[j:], map(mul, repeat(x), to_qexpansion(m, d - 1).nums[j:]))
+            result = result + m.scale(Fraction(x, f.den))
+    g = to_qexpansion(result, terms)
+    if any(map(sub, map(mul, repeat(f.den), g.nums), map(mul, repeat(g.den), known))):
         raise NotInM(f"series does not match any form of weight {weight} to q^{terms}")
-    return PolynomialQR.make(weight, {basis[i]: x[i] for i in range(d)})
+    return result
 
 
 def _apply_theta_form(den: int, h: tuple, f: QExpansion) -> QExpansion:

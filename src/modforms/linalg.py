@@ -1,10 +1,9 @@
-"""Small exact algebra over the rationals: row reduction and dense polynomials.
+"""Small exact algebra over the rationals: rank and dense polynomials.
 
-One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) behind `rank`
-and `solve_overdetermined`: rows of ints or `fractions.Fraction`s are scaled
-to ints (and `rank` divides each column by its gcd), and every entry stays
-an int minor of that matrix, so no Fraction is built until the solve's
-back-substitution.  Matrices here have tens of rows but may be wide:
+`rank` runs one fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+rows of ints or `fractions.Fraction`s are scaled to ints, each column is
+divided by its gcd, and every entry stays an int minor of that matrix, so
+no Fraction is built.  Matrices here have tens of rows but may be wide:
 `structure.free_basis_verify` hands `rank` one column per known coefficient
 of each component, p(N+1) of them (1026 for p = 2 at N 512).  Arithmetic is
 exact and every entry is a minor whatever the pivot order, so no pivoting
@@ -18,8 +17,6 @@ it never divides a coefficient and int inputs give int outputs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import mul
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -31,17 +28,16 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _echelon(m: list[list[int]], ncols: int) -> int:
+def _echelon(m: list[list[int]]) -> int:
     """Fraction-free (Bareiss) forward elimination of the int rows m in place.
 
-    Returns the pivot count r.  Pivots come from the first ncols columns only
-    (a right-hand side after them is carried along).  After the step on pivot
-    a each row below becomes (a row - f pivot_row) // prev, an exact division
-    by the previous pivot, so every entry stays an int minor of the input.
-    Then m[:r] is in echelon form and m[r:] vanishes on the first ncols columns.
+    Returns the pivot count r.  After the step on pivot a each row below
+    becomes (a row - f pivot_row) // prev, an exact division by the previous
+    pivot, so every entry stays an int minor of the input.  Then m[:r] is in
+    echelon form and m[r:] vanishes.
     """
     r, nrows, prev = 0, len(m), 1
-    for col in range(ncols):
+    for col in range(len(m[0]) if m else 0):
         if r == nrows:
             break
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
@@ -67,28 +63,7 @@ def rank(rows: list[list]) -> int:
     for col in zip(*_int_rows(rows)):
         g = math.gcd(*col)
         cols.append([x // g for x in col] if g > 1 else col)
-    return _echelon([list(row) for row in zip(*cols)], len(cols))
-
-
-def solve_overdetermined(a: list[list], b: list):
-    """Solve A x = b exactly for A with full column rank and rows >= cols.
-
-    Returns the solution vector of Fractions, or None when the system is
-    inconsistent.  Raises ValueError if the columns are dependent (no unique
-    solution).
-    """
-    ncols = len(a[0]) if a else 0
-    m = _int_rows([*row, y] for row, y in zip(a, b, strict=True))
-    if _echelon(m, ncols) < ncols:
-        raise ValueError("columns are linearly dependent; solution not unique")
-    # full column rank: row i is the pivot row of column i
-    if any(row[ncols] for row in m[ncols:]):
-        return None
-    x = [Fraction(0)] * ncols
-    for i in range(ncols - 1, -1, -1):
-        row = m[i]
-        x[i] = (row[ncols] - sum(map(mul, row[i + 1 : ncols], x[i + 1 :]))) / Fraction(row[i])
-    return x
+    return _echelon([list(row) for row in zip(*cols)])
 
 
 # -- dense polynomials, ascending coefficients ------------------------------

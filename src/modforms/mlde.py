@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from . import skew
 from .classical import PolynomialQR, _theta_form, monomial_basis
@@ -36,7 +36,7 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
-from .linalg import _poly_divmod, _poly_eval, _poly_mul, solve_overdetermined
+from .linalg import _poly_divmod, _poly_eval, _poly_mul
 from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
@@ -219,11 +219,13 @@ def weight_relation_check(weight: int, exponents) -> bool:
 def mlde_from_exponents(exponents) -> MLDE:
     """Rebuild the unique MLDE with the given indicial roots (p <= 5).
 
-    The weight comes from the root sum; the constant terms g_j(oo) come from
-    matching the indicial polynomial to prod (lambda - m_j), one exact solve
-    against the triangular partial products.  Through order 5 each g_j
-    lies in a one-dimensional M_{2(p-j)} whose monomial has constant term 1,
-    so the constants determine the operator.
+    The weight comes from the root sum.  The constant terms g_j(oo) come
+    from matching the indicial polynomial to prod (lambda - m_j): the partial
+    products prod_{l<j} (lambda - (k_0+2l)/12) are monic of degree j, so
+    each g_j(oo), j = p-2 down to 0, is read off the difference once the
+    terms above it are subtracted.  Through order 5 each g_j lies in a
+    one-dimensional M_{2(p-j)} whose monomial has constant term 1, so the
+    constants determine the operator.
     """
     ms = [Fraction(m) for m in exponents]
     p = len(ms)
@@ -240,11 +242,12 @@ def mlde_from_exponents(exponents) -> MLDE:
         raise NonIntegralWeight(f"weight relation gives k_0 = {k0}")
     k0 = int(k0)
     partial = _partial_products([Fraction(k0 + 2 * l, 12) for l in range(p)])
-    target = _partial_products(ms)[p]
-    a = [[partial[j][i] if i <= j else 0 for j in range(p - 1)] for i in range(p + 1)]
-    consts = solve_overdetermined(a, [t - c for t, c in zip(target, partial[p])])
-    if consts is None:
-        raise ValueError("indicial matching left a nonzero remainder")  # unreachable
+    rest = list(map(sub, _partial_products(ms)[p], partial[p]))
+    consts = [Fraction(0)] * (p - 1)
+    for j in range(p - 2, -1, -1):
+        # partial[j] is monic of degree j: c partial[j] clears lambda^j, and rest keeps the degrees below
+        c = consts[j] = rest[j]
+        rest = list(map(sub, rest, map(mul, repeat(c), partial[j])))
     coeffs = []
     for j in range(p - 1):
         basis = monomial_basis(2 * (p - j))

@@ -42,6 +42,8 @@ class RepData:
             rho_S = tuple(tuple(complex(x) for x in row) for row in rho_S)
             if len(rho_S) != len(ms) or any(len(row) != len(ms) for row in rho_S):
                 raise ValueError("rho_S must be a p x p matrix")
+        if s_squared_sign is not None and type(s_squared_sign) is not int:  # a bool is not a sign
+            raise TypeError(f"s_squared_sign must be an int, not {s_squared_sign!r}")
         if s_squared_sign not in (None, 1, -1):
             raise ValueError("s_squared_sign must be +1 or -1")
         return RepData(ms, rho_S, s_squared_sign)

@@ -51,6 +51,12 @@ def test_rep_data_validation():
         RepData.make([0], rho_S=[[1, 0]])
 
 
+@pytest.mark.parametrize("sign", [True, 1.0])
+def test_rep_data_rejects_a_non_int_sign(sign):
+    with pytest.raises(TypeError):
+        RepData.make([0], rho_S=[[1]], s_squared_sign=sign)
+
+
 def test_validate_pass_and_fail():
     rep = RepData.make([F(5, 12)])
     good = VVMF.make(5, rep, [eta_power(10, 8)])
