@@ -9,17 +9,22 @@ Uses only the public API, so the same script times any two source trees
 
 * ``rank``, family ``free``: the rows of weight 60 for the generators F, DF
   of the (0, 5/6) fundamental system (the members F Q^u R^v of weight 60
-  and DF Q^u R^v, one row of 2(N + 1) int numerators over the row lcm
-  each); family ``dependent``: the same rows for F and Q F, whose rank
-  falls short by the overlap of their multiples;
+  and DF Q^u R^v, one row of 2(N + 1) ints each: slot j holds the
+  coefficients times the lcm of slot j's denominators over all
+  generators); family ``dependent``: the same rows for F and Q F, whose
+  rank falls short by the overlap of their multiples;
 * ``from_qexpansion``, families ``M40`` and ``M120``: the series through
   q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of M_w, for w = 40
   and 120, mapped back to that element (shape: N + 1 checked coefficients
   by dim M_w).
 
-It also times criterion 9, ``free_basis_verify([F, DF], 60, 64)``.  Every
-time is the median of runs repeated until about 0.5 s has been spent (at
-least 3, at most 200).
+At N 128 only, family ``third`` times ``rank`` on the rows of weight 39 for
+F, DF, D^2F of the (0, 1/12, 2/12) system (k_0 = -1, so every member has
+odd weight, and 39 is the top one of ``free_basis_verify`` at k_max 40).
+Its slots carry large common factors, which the column-gcd pass of
+``rank`` takes out.  It also times criterion 9,
+``free_basis_verify([F, DF], 60, 64)``.  Every time is the median of runs
+repeated until about 0.5 s has been spent (at least 3, at most 200).
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import free_basis_verify
 from modforms.vvmf import module_action, serre_vvmf
 
-SIZES = (64, 256, 512)
+SIZES = (64, 128, 256, 512)
 WEIGHT = 60
+THIRD_N, THIRD_WEIGHT = 128, 39
 
 
 def median_time(fn, budget=0.5):
@@ -52,22 +58,34 @@ def median_time(fn, budget=0.5):
 
 
 def weight_rows(gens, w, n):
-    """The int rows free_basis_verify hands to rank at weight w (components leading at their lattice base)."""
+    """The int rows free_basis_verify hands to rank at weight w (components leading at their lattice base).
+
+    Slot j of a row holds the coefficients of Q^u R^v f_j times the lcm of slot j's
+    denominators over all generators, the same ints the library builds.
+    """
     lead = [min(g.components[j].leading for g in gens) for j in range(gens[0].p)]
+    dens = [math.lcm(*(g.components[j].den for g in gens)) for j in range(gens[0].p)]
     rows = []
     for g in gens:
         if w < g.weight or (w - g.weight) % 2:
             continue
         for u, v in monomial_basis(w - g.weight):
             mono = to_qexpansion(PolynomialQR.monomial(u, v), n)
-            prods = [mono * f for f in g.components]
-            den = math.lcm(*(p.den for p in prods))
             row = []
-            for p, low in zip(prods, lead):
+            for f, low, den in zip(g.components, lead, dens):
+                p = mono * f  # p.den divides f.den, which divides den
                 zeros = min(int(p.leading - low), n + 1)
                 row += [0] * zeros + [x * (den // p.den) for x in p.nums[: n + 1 - zeros]]
             rows.append(row)
     return rows
+
+
+def tower(exponents, n):
+    """F, DF, ..., D^(p-1)F for the fundamental system with the given exponents."""
+    gens = [fundamental_system(mlde_from_exponents(exponents), n)]
+    for _ in exponents[1:]:
+        gens.append(serre_vvmf(gens[-1]))
+    return gens
 
 
 def weight_form(w, n):
@@ -77,12 +95,14 @@ def weight_form(w, n):
 
 
 def cases(n):
-    base = fundamental_system(mlde_from_exponents([0, Fraction(5, 6)]), n)
-    for family, gens in (("free", [base, serre_vvmf(base)]), ("dependent", [base, module_action(eisenstein("Q", n), 4, base)])):
-        rows = weight_rows(gens, WEIGHT, n)
-        want = len(rows) if family == "free" else None
+    free = tower([0, Fraction(5, 6)], n)
+    families = [("free", free, WEIGHT), ("dependent", [free[0], module_action(eisenstein("Q", n), 4, free[0])], WEIGHT)]
+    if n == THIRD_N:
+        families.append(("third", tower([0, Fraction(1, 12), Fraction(2, 12)], n), THIRD_WEIGHT))
+    for family, gens, w in families:
+        rows = weight_rows(gens, w, n)
         got = rank(rows)
-        assert want is None and got < len(rows) or got == want, (family, got)
+        assert got < len(rows) if family == "dependent" else got == len(rows), (family, got)
         yield "rank", family, f"{len(rows)}x{len(rows[0])}", lambda rows=rows: rank(rows)
     for w in (40, 120):
         m, f = weight_form(w, n)
@@ -96,8 +116,7 @@ def main():
         for op, family, shape, fn in cases(n):
             rows.append({"op": op, "family": family, "n": n, "shape": shape, "s": median_time(fn)})
             print(json.dumps(rows[-1]), file=sys.stderr)
-    base = fundamental_system(mlde_from_exponents([0, Fraction(5, 6)]), 64)
-    gens = [base, serre_vvmf(base)]
+    gens = tower([0, Fraction(5, 6)], 64)
     crit9 = median_time(lambda: free_basis_verify(gens, 60, 64), budget=3.0)
     print(json.dumps({"criterion_9_s": crit9}), file=sys.stderr)
     out = {"python": platform.python_version(), "machine": platform.machine(), "rows": rows, "criterion_9_s": crit9}

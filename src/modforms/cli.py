@@ -210,8 +210,10 @@ def _cmd_poincare(args) -> int:
     if args.weights:
         ps = structure.ps_from_weights(_parse_integers(args.weights))
     elif args.cyclic:
-        k0, p = _parse_integers(args.cyclic)
-        ps = structure.ps_cyclic(k0, p)
+        values = _parse_integers(args.cyclic)
+        if len(values) != 2:
+            raise ModformError(f"--cyclic takes k0,p, got {args.cyclic!r}")
+        ps = structure.ps_cyclic(*values)
     else:
         raise ModformError("need --weights or --cyclic")
     doc = serialize.poincare_to_json(ps)

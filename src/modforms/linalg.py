@@ -1,11 +1,11 @@
 """Small exact algebra over the rationals: rank and dense polynomials.
 
-`rank` runs one fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
-rows of ints or `fractions.Fraction`s are scaled to ints, each column is
-divided by its gcd, and every entry stays an int minor of that matrix, so
-no Fraction is built.  Matrices here have tens of rows but may be wide:
-`structure.free_basis_verify` hands `rank` one column per known coefficient
-of each component, p(N+1) of them (1026 for p = 2 at N 512).  Arithmetic is
+`rank` runs one fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+on int rows: each column is divided by its gcd, and every entry stays an
+int minor of that matrix.  Callers clear denominators along an axis that
+keeps the rank: `vvmf.is_essential` by rows, `structure.free_basis_verify`
+by columns, one per known coefficient of each component, p(N+1) of them
+(1026 for p = 2 at N 512).  Matrices here have tens of rows.  Arithmetic is
 exact and every entry is a minor whatever the pivot order, so no pivoting
 strategy beyond "first nonzero" is needed.
 
@@ -17,15 +17,6 @@ it never divides a coefficient and int inputs give int outputs.
 from __future__ import annotations
 
 import math
-
-
-def _int_rows(rows) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators; int rows come through unchanged."""
-    out = []
-    for row in rows:
-        den = math.lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
 
 
 def _echelon(m: list[list[int]]) -> int:
@@ -54,13 +45,13 @@ def _echelon(m: list[list[int]]) -> int:
     return r
 
 
-def rank(rows: list[list]) -> int:
-    """Exact rank of the matrix given as a list of rows of ints or Fractions."""
-    # Scaling a column keeps the rank.  A row over one common denominator
-    # carries it into every small early entry; dividing each column by its
-    # gcd takes it back out before the minors multiply it up.
+def rank(rows: list[list[int]]) -> int:
+    """Exact rank of the matrix given as a list of int rows; a Fraction cell raises TypeError."""
+    # Scaling a column keeps the rank.  A slot or row over one common
+    # denominator carries it into every small early entry; dividing each
+    # column by its gcd takes it back out before the minors multiply it up.
     cols = []
-    for col in zip(*_int_rows(rows)):
+    for col in zip(*rows):
         g = math.gcd(*col)
         cols.append([x // g for x in col] if g > 1 else col)
     return _echelon([list(row) for row in zip(*cols)])

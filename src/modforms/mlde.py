@@ -201,9 +201,9 @@ def fundamental_system(equation: MLDE, n_terms: int) -> VVMF:
         raise IrrationalRoots(f"only {len(ind.roots)} of {equation.order} indicial roots are rational")
     roots = list(ind.roots)
     if len(set(roots)) != len(roots):
-        raise RootsNotDistinct(f"repeated indicial root in {roots}")
+        raise RootsNotDistinct(f"indicial roots {', '.join(map(str, roots))} are not distinct")
     if any(not 0 <= r < 1 for r in roots):
-        raise RootsOutOfRange(f"indicial roots {roots} not all in [0, 1)")
+        raise RootsOutOfRange(f"indicial roots {', '.join(map(str, roots))} not all in [0, 1)")
     rep = RepData.make(roots)
     comps = [solve_frobenius(equation, r, n_terms) for r in roots]
     return VVMF.make(equation.weight, rep, comps)
@@ -234,9 +234,9 @@ def mlde_from_exponents(exponents) -> MLDE:
     if p > 5:
         raise OrderTooLarge("order > 5: coefficient spaces gain dimensions, supply coefficients")
     if len(set(ms)) != p:
-        raise RootsNotDistinct(f"exponents {ms} are not distinct")
+        raise RootsNotDistinct(f"exponents {', '.join(map(str, ms))} are not distinct")
     if any(not 0 <= m < 1 for m in ms):
-        raise RootsOutOfRange(f"exponents {ms} not all in [0, 1)")
+        raise RootsOutOfRange(f"exponents {', '.join(map(str, ms))} not all in [0, 1)")
     k0 = Fraction(12, p) * sum(ms, Fraction(0)) - p + 1
     if k0.denominator != 1:
         raise NonIntegralWeight(f"weight relation gives k_0 = {k0}")

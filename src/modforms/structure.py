@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
 
 from . import linalg
-from .classical import EtaPower, PolynomialQR, dim_M, monomial_basis, to_qexpansion
+from .classical import EtaPower, _monomial, dim_M, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NotIndecomposable, OutOfRange
+from .qseries import _int_product
 from .vvmf import VVMF, validate
 
 #: Denominator of every series here, as dense ascending coefficients; it is
@@ -216,11 +215,17 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     weights = [g.weight for g in gens]
     depth = min(min(f.truncation_order for f in g.components) for g in gens)
     depth = min(depth, n_terms)
-    # nonzero components of slot j lie on m_j + Z; zero ones carry no exponent
-    lead = [
-        min((g.components[j].leading for g in gens if not g.components[j].is_zero), default=0)
-        for j in range(rep.p)
-    ]
+    # Cells of slot j are the coefficients of q^(low_j + n), n <= depth, over the lcm of the
+    # slot's denominators (a column scaling, which keeps the rank).  Nonzero components of
+    # slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j] holds generator i's
+    # count of leading zero cells in slot j and its int numerators after them.
+    slots = [[] for _ in gens]
+    for column in zip(*(g.components for g in gens)):
+        low = min((f.leading for f in column if not f.is_zero), default=0)
+        den = math.lcm(*(f.den for f in column))
+        for slot, f in zip(slots, column):
+            zeros = depth + 1 if f.is_zero else min(int(f.leading - low), depth + 1)
+            slot.append((zeros, [x * (den // f.den) for x in f.nums[: depth + 1 - zeros]]))
     dims = []
     for w in range(min(weights), k_max + 1):
         members = []
@@ -240,17 +245,10 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
             )
         rows = []
         for i, u, v in members:
-            mono = to_qexpansion(PolynomialQR.monomial(u, v), depth)
-            prods = [mono * f for f in gens[i].components]
-            # rank ignores row scaling: the row holds numerators over one lcm
-            row_den = math.lcm(*(prod.den for prod in prods))
+            # Q^u R^v starts at q^0, so a product keeps its slot's leading zeros (empty nums, empty product)
             row = []
-            for prod, low in zip(prods, lead):
-                # Cells are the coefficients of q^(low + n), n <= depth.  A nonzero prod
-                # starts whole steps in and is known through low + depth.
-                zeros = depth + 1 if prod.is_zero else min(int(prod.leading - low), depth + 1)
-                row.extend([0] * zeros)
-                row.extend(map(mul, repeat(row_den // prod.den), prod.nums[: depth + 1 - zeros]))
+            for zeros, nums in slots[i]:
+                row += [0] * zeros + _int_product(_monomial(u, v, depth)[: len(nums)], nums)
             rows.append(row)
         if linalg.rank(rows) != len(members):
             raise DependentGenerators(w)

@@ -145,7 +145,9 @@ def is_essential(form: VVMF, n_terms: int) -> bool:
         return False  # a zero component is dependent outright
     cap = min(f.horizon for f in live)
     grid = sorted({f.leading + n for f in live for n in range(n_terms + 1) if f.leading + n <= cap})
-    rows = [[f.coefficient(e) for e in grid] for f in form.components]
+    # f's int numerators on the grid: f.den scales a whole row, which keeps the rank
+    cells = [{f.leading + n: x for n, x in enumerate(f.nums)} for f in form.components]
+    rows = [[c.get(e, 0) for e in grid] for c in cells]
     if linalg.rank(rows) == p:
         return True
     top = min(cap, min(f.leading for f in live) + n_terms)  # every component is known through top

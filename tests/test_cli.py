@@ -163,6 +163,41 @@ def test_poincare_rejects_non_integers(capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
 
 
+@pytest.mark.parametrize("value", ["4", "4,2,1"])
+def test_cyclic_takes_two_integers(capsys, value):
+    assert main(["poincare", "--cyclic", value]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ModformError" and "k0,p" in error["message"]
+
+
+#: g_0 = c Q in an order-2 MLDE of weight 4 gives the indicial roots with product c + 1/6
+ROOT_COEFFS = {"repeated": "1/144", "out_of_range": "-1/3"}  # roots 5/12, 5/12 and -1/6, 1
+
+
+@pytest.mark.parametrize(
+    "argv,kind,shown",
+    [
+        (["mlde", "solve", "--exponents", "0,0"], "RootsNotDistinct", "exponents 0, 0 "),
+        (["mlde", "solve", "--exponents", "0,7/6"], "RootsOutOfRange", "exponents 0, 7/6 "),
+        (["verify-basis", "--mlde", "1/2,-1/2"], "RootsOutOfRange", "exponents 1/2, -1/2 "),
+        (["mlde", "solve", "--weight", "4", "--coeffs", "@repeated"], "RootsNotDistinct", "roots 5/12, 5/12 "),
+        (["monodromy", "--mlde", "@out_of_range"], "RootsOutOfRange", "roots -1/6, 1 "),
+    ],
+    ids=["exponents_repeated", "exponents_out_of_range", "verify_out_of_range", "roots_repeated",
+         "roots_out_of_range"],
+)
+def test_root_errors_print_rationals(tmp_path, capsys, argv, kind, shown):
+    paths = {}
+    for name, c in ROOT_COEFFS.items():
+        coeffs = [{"weight": 4, "coords": {"1,0": c}}]
+        paths[f"@{name}"] = path = tmp_path / name
+        path.write_text(json.dumps(coeffs if argv[0] == "mlde" else {"weight": 4, "order": 2, "coeffs": coeffs}))
+    assert main([str(paths.get(a, a)) for a in argv] + ["--terms", "4"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == kind and shown in error["message"]
+    assert "Fraction(" not in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

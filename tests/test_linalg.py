@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -64,7 +65,14 @@ def matrices(draw):
 @example([[F(0), F(0)], [F(0), F(0)]])
 @example([[F(1), F(2), F(3)], [F(2), F(4), F(6)]])
 def test_rank_matches_reference(rows):
-    assert rank(rows) == reference_rank(rows)
+    # rank takes int rows; scaling a row by the lcm of its denominators keeps the rank
+    int_rows = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        int_rows.append([int(x * den) for x in row])
+    assert rank(int_rows) == reference_rank(rows)
+    with pytest.raises(TypeError):  # a Fraction cell is refused, never floored
+        rank([int_rows[0][:-1] + [F(1, 2)]] + int_rows[1:])
 
 
 # -- the free_basis shapes: wide int rows --

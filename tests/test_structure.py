@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,7 @@ from modforms.structure import (
     ps_from_weights,
 )
 from modforms.qseries import QExpansion
-from modforms.vvmf import VVMF, RepData, module_action, serre_vvmf
+from modforms.vvmf import VVMF, RepData, is_essential, module_action, serre_vvmf
 
 F = Fraction
 
@@ -198,6 +199,51 @@ def test_free_basis_negative_k0():
     assert ps_coefficient(series, -1) == 1
     with pytest.raises(ValueError):
         ps_coefficient(series, -3)
+
+
+def test_free_basis_every_twelfth_root_set():
+    # every set of 1-3 distinct exponents i/12 with an integral k_0, and the
+    # generators F, DF, ... rescaled over large, unrelated denominators
+    count = 0
+    for p, n, k_max in ((1, 16, 16), (2, 16, 14), (3, 12, 10)):
+        for idx in combinations(range(12), p):
+            ms = [F(i, 12) for i in idx]
+            if (F(12, p) * sum(ms) - p + 1).denominator != 1:
+                continue
+            count += 1
+            eq = mlde_from_exponents(ms)
+            generators = [fundamental_system(eq, n)]
+            for _ in range(p - 1):
+                generators.append(serre_vvmf(generators[-1]))
+            report = free_basis_verify(generators, k_max, n)
+            assert report.ok and report.rank == p
+            series = ps_cyclic(eq.weight, p)
+            weights = range(eq.weight, k_max + 1)
+            assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in weights if ps_coefficient(series, w)]
+            base = generators[0]
+            if p > 1:
+                big = VVMF.make(base.weight, base.rep, [f.scale(12**40) for f in base.components])
+                d = generators[1]
+                small = VVMF.make(d.weight, d.rep, [f.scale(F(1, 2**61 - 1)) for f in d.components])
+                assert free_basis_verify([big, small] + generators[2:], k_max, n) == report
+            qf = module_action(eisenstein("Q", n), 4, base)
+            tiny = VVMF.make(qf.weight, qf.rep, [f.scale(F(1, 2**89 - 1)) for f in qf.components])
+            with pytest.raises(DependentGenerators) as err:
+                free_basis_verify([base, tiny], eq.weight + 4, n)
+            assert err.value.weight == eq.weight + 4
+    assert count == 118
+    # is_essential over components with different large denominators on different lattices
+    components = [eisenstein("Q", 16).scale(F(3, 7)), eta_power(2, 16).scale(F(1, 2**61 - 1))]
+    mixed = VVMF.make(4, RepData.make([0, F(1, 12)]), components)
+    with pytest.raises(InsufficientTruncation):
+        is_essential(mixed, 0)
+    assert all(is_essential(mixed, n) for n in range(1, 12))
+    e4 = eisenstein("Q", 16)
+    e4_6 = e4 * e4 * e4 * e4 * e4 * e4
+    twice = VVMF.make(24, RepData.make([0, 0]), [e4_6.scale(F(1, 2**61 - 1)), e4_6.scale(2 * 12**40)])
+    with pytest.raises(InsufficientTruncation):
+        is_essential(twice, 4)
+    assert not is_essential(twice, 5)
 
 
 def test_free_basis_refuses_short_truncation():
