@@ -1,4 +1,4 @@
-"""Timings of the Frobenius recursion, of verify_solution and of serre_derivative.
+"""Timings of the Frobenius recursion, of verify_solution, of indicial_polynomial and of serre_derivative.
 
     PYTHONPATH=src python3 bench/frobenius_scaling.py > timings.json
 
@@ -9,16 +9,19 @@ the same fundamental system built by ``fraction_solve``, the recursion that
 every sigma and g_j convolution summed in Fraction arithmetic.  Both must
 give equal series; the script stops on any difference.  It also times
 ``verify_solution`` on every component of the system (``verify_s``, the
-sum over components; each must verify), and ``serre_derivative`` of
-eta^13 at weight 13/2, which must vanish, at N 176 and 512.
+sum over components; each must verify), ``indicial_polynomial`` of each
+set's equation (``indicial_s``; its roots must be the set, and the
+operator's theta-form is cached after the first run, so this is the root
+search), and ``serre_derivative`` of eta^13 at weight 13/2, which must
+vanish, at N 176 and 512.
 
 Sets: ``(0, 5/6)`` (order 2, weight 4, the README example),
 ``(1/12, 5/12, 9/12)`` (order 3, weight 3) and ``(1/12, 4/12, 7/12, 8/12)``
 (order 4, weight 2).  ``max_bits`` is the largest numerator or denominator
 bit length of any coefficient of the system.  Times are medians of runs
 repeated until about 0.5 s has been spent (at most 9 runs, 200 for the
-sub-millisecond Serre derivative), so a run that takes longer than that
-is timed once.
+sub-millisecond indicial polynomial and Serre derivative), so a run that
+takes longer than that is timed once.
 """
 
 from __future__ import annotations
@@ -114,6 +117,14 @@ def main():
             }
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
+    indicial_rows = []
+    for name, exponents in SETS.items():
+        eq = mlde_from_exponents(exponents)
+        indicial_s, ind = timed(lambda: indicial_polynomial(eq), runs=200)
+        assert ind.roots == exponents, name
+        row = {"exponents": name, "order": len(exponents), "weight": eq.weight, "indicial_s": indicial_s}
+        indicial_rows.append(row)
+        print(json.dumps(row), file=sys.stderr)
     serre_rows = []
     for n in SERRE_SIZES:
         f = eta_power(13, n)
@@ -125,6 +136,7 @@ def main():
         "python": platform.python_version(),
         "machine": platform.machine(),
         "fundamental_system": rows,
+        "indicial_polynomial": indicial_rows,
         "serre_derivative": serre_rows,
     }
     print(json.dumps(doc, indent=2))

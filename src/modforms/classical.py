@@ -128,6 +128,17 @@ def monomial_basis(weight: int) -> list[tuple[int, int]]:
     return basis
 
 
+def _collect(terms) -> tuple:
+    """Sum (key, value) pairs by key: the sorted pairs whose sum is nonzero (truthy).
+
+    Every sparse sum of M, M[d] (`skew`) and Poincare numerators (`structure`) is built here.
+    """
+    sums: dict = {}
+    for key, value in terms:
+        sums[key] = sums[key] + value if key in sums else value
+    return tuple(sorted((key, value) for key, value in sums.items() if value))
+
+
 @dataclass(frozen=True)
 class PolynomialQR:
     """Element of M = C[Q, R] on the monomial basis {Q^u R^v}, with a weight.
@@ -159,12 +170,12 @@ class PolynomialQR:
     def zero(weight: int = 0) -> PolynomialQR:
         return PolynomialQR(weight, ())
 
-    def coord_dict(self) -> dict:
-        return dict(self.coords)
-
     @property
     def is_zero(self) -> bool:
         return not self.coords
+
+    def __bool__(self) -> bool:
+        return bool(self.coords)
 
     def constant_term(self) -> Fraction:
         """Value at the cusp: every monomial Q^u R^v starts 1 + O(q)."""
@@ -177,10 +188,7 @@ class PolynomialQR:
             return self
         if self.weight != other.weight:
             raise ValueError(f"cannot add weights {self.weight} and {other.weight}")
-        acc = self.coord_dict()
-        for key, c in other.coords:
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return PolynomialQR.make(self.weight, acc)
+        return PolynomialQR(self.weight, _collect(self.coords + other.coords))
 
     def __sub__(self, other: PolynomialQR) -> PolynomialQR:
         return self + (-other)
@@ -190,12 +198,8 @@ class PolynomialQR:
 
     def __mul__(self, other):
         if isinstance(other, PolynomialQR):
-            acc = {}
-            for (u1, v1), c1 in self.coords:
-                for (u2, v2), c2 in other.coords:
-                    key = (u1 + u2, v1 + v2)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-            return PolynomialQR.make(self.weight + other.weight, acc)
+            terms = [((u1 + u2, v1 + v2), c1 * c2) for (u1, v1), c1 in self.coords for (u2, v2), c2 in other.coords]
+            return PolynomialQR(self.weight + other.weight, _collect(terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -268,15 +272,19 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     # Delta^j = (Q^3 - R^2)^j / 1728^j, so B_j = sum_i (-1)^i C(j, i) Q^(a - 3i) R^(b + 2i) / 1728^j
     b = weight % 4 // 2
     a = (weight - 6 * b) // 4
-    rest, result = known[:d], PolynomialQR.zero(weight)
+    rest, members = known[:d], []
     for j in range(d):
         x = rest[j]
         if x:
-            coords = {(a - 3 * i, b + 2 * i): Fraction((-1) ** i * math.comb(j, i), 1728**j) for i in range(j + 1)}
-            m = PolynomialQR.make(weight, coords)
+            # i from j down to 0 lists the monomials Q^(a - 3i) R^(b + 2i) in sorted order
+            coords = tuple(
+                ((a - 3 * i, b + 2 * i), Fraction((-1) ** i * math.comb(j, i), 1728**j)) for i in range(j, -1, -1)
+            )
             # B_j = q^j + O(q^(j+1)) over the integers: subtracting x B_j clears q^j
-            rest[j:] = map(sub, rest[j:], map(mul, repeat(x), to_qexpansion(m, d - 1).nums[j:]))
-            result = result + m.scale(Fraction(x, f.den))
+            series = to_qexpansion(PolynomialQR(weight, coords), d - 1)
+            rest[j:] = map(sub, rest[j:], map(mul, repeat(x), series.nums[j:]))
+            members += [(key, c * Fraction(x, f.den)) for key, c in coords]
+    result = PolynomialQR(weight, _collect(members))
     g = to_qexpansion(result, terms)
     if any(map(sub, map(mul, repeat(f.den), g.nums), map(mul, repeat(g.den), known))):
         raise NotInM(f"series does not match any form of weight {weight} to q^{terms}")
@@ -358,12 +366,6 @@ def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
 
 def serre_derivative_poly(m: PolynomialQR) -> PolynomialQR:
     """The graded derivation of C[Q, R] with D(Q) = -R/3 and D(R) = -Q^2/2."""
-    acc = {}
-    for (u, v), c in m.coords:
-        if u:
-            key = (u - 1, v + 1)
-            acc[key] = acc.get(key, Fraction(0)) - Fraction(u, 3) * c
-        if v:
-            key = (u + 2, v - 1)
-            acc[key] = acc.get(key, Fraction(0)) - Fraction(v, 2) * c
-    return PolynomialQR.make(m.weight + 2, acc)
+    terms = [((u - 1, v + 1), Fraction(-u, 3) * c) for (u, v), c in m.coords if u]
+    terms += [((u + 2, v - 1), Fraction(-v, 2) * c) for (u, v), c in m.coords if v]
+    return PolynomialQR(m.weight + 2, _collect(terms))

@@ -9,12 +9,15 @@ with no D^{p-1} term since M_2 = 0.  Its indicial polynomial at the cusp is
     I(lambda) = prod_{l<p} (lambda - (k_0+2l)/12)
               + sum_j g_j(oo) prod_{l<j} (lambda - (k_0+2l)/12),
 
-whose roots are the leading exponents of a fundamental system.  Solving
-and verifying share the operator's theta-form sum_l h_l theta^l / den on
-integers (`classical._theta_form`): the Frobenius recursion is integer dot
-products against the h_l, and `verify_solution` applies the form.  The
-converse direction rebuilds the operator from prescribed exponents while
-the coefficient spaces M_4..M_10 are one-dimensional.
+whose roots are the leading exponents of a fundamental system.  Its
+rational roots come from bisection under Descartes' rule of signs
+(`_rational_roots`): no factoring and no divisor search, so the time is
+polynomial in the size of the coefficients.  Solving and verifying share
+the operator's theta-form sum_l h_l theta^l / den on integers
+(`classical._theta_form`): the Frobenius recursion is integer dot products
+against the h_l, and `verify_solution` applies the form.  The converse
+direction rebuilds the operator from prescribed exponents while the
+coefficient spaces M_4..M_10 are one-dimensional.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul, ne, sub
 
 from . import skew
 from .classical import PolynomialQR, _theta_form, monomial_basis
@@ -36,53 +39,57 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
-from .linalg import _poly_divmod, _poly_eval, _poly_mul
+from .linalg import _poly_divmod, _poly_eval, _poly_mul, _poly_shift
 from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return out
+def _may_have_root(poly: list, lo: int, hi: int) -> bool:
+    """False only if poly has no root in the open interval (lo, hi), by Descartes' rule of signs.
+
+    (1 + y)^deg poly((lo + hi y) / (1 + y)) has as many positive roots as
+    poly has in (lo, hi), and no more than its coefficients change sign.
+    """
+    scaled = [c * (hi - lo) ** i for i, c in enumerate(_poly_shift(poly, lo))]
+    signs = [c > 0 for c in _poly_shift(scaled[::-1], 1) if c]
+    return any(map(ne, signs, signs[1:]))
 
 
-def _rational_roots(poly):
-    """All rational roots with multiplicity, by the rational root theorem."""
-    roots = []
+def _rational_roots(poly) -> list:
+    """All rational roots with multiplicity, sorted; nothing is factored.
+
+    With d the lcm of the denominators of the monic I, J(x) = d^p I(x / d)
+    is a monic int polynomial, so its rational roots are integers, and each
+    lies below b = 2 max_l 2^ceil(bitlen(J_l) / (p - l)), above the Fujiwara
+    bound.  Bisecting (-b, b) keeps an interval while Descartes' rule allows
+    a root in it (Collins-Akritas) and tests each integer midpoint exactly;
+    each root found is divided out as often as it divides.
+    """
     work = list(poly)
-    while len(work) > 1:
-        while work and work[-1] == 0:
-            work.pop()
-        if len(work) <= 1:
-            break
-        if work[0] == 0:
-            roots.append(Fraction(0))
-            work = work[1:]
-            continue
-        d = lcm(*(c.denominator for c in work))
-        found = None
-        for num in sorted(_divisors(int(work[0] * d))):
-            for den in sorted(_divisors(int(work[-1] * d))):
-                for sgn in (1, -1):
-                    cand = Fraction(sgn * num, den)
-                    if _poly_eval(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        work = _poly_divmod(work, [-found, 1])[0]
+    while work and not work[-1]:
+        work.pop()
+    p = len(work) - 1
+    if p < 1:
+        return []
+    work = [Fraction(c) / work[-1] for c in work]
+    d = lcm(*(c.denominator for c in work))
+    J = [int(c * d ** (p - l)) for l, c in enumerate(work)]
+    b = 2 * max(2 ** -(-c.bit_length() // (p - l)) for l, c in enumerate(J[:-1]))
+    found, intervals = [], [(-b, b)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if hi - lo > 1 and _may_have_root(J, lo, hi):
+            mid = (lo + hi) // 2
+            if not _poly_eval(J, mid):
+                found.append(mid)
+            intervals += [(lo, mid), (mid, hi)]
+    roots = []
+    for r in found:
+        quot, rem = _poly_divmod(J, [-r, 1])
+        while not rem[0]:
+            roots.append(Fraction(r, d))
+            J = quot
+            quot, rem = _poly_divmod(J, [-r, 1])
     return sorted(roots)
 
 

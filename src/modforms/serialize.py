@@ -93,8 +93,6 @@ def rep_to_json(rep: RepData) -> dict:
     doc: dict = {"exponents": [fraction_to_json(m) for m in rep.exponents]}
     if rep.rho_S is not None:
         doc["rho_S"] = matrix_to_json(rep.rho_S)
-    if rep.s_squared_sign is not None:
-        doc["s_squared_sign"] = rep.s_squared_sign
     return doc
 
 
@@ -112,11 +110,9 @@ def matrix_from_json(rows) -> list:
 
 def vvmf_from_json(doc: dict) -> VVMF:
     rep_doc = doc["rep"]
-    rho_S, sign = rep_doc.get("rho_S"), rep_doc.get("s_squared_sign")
+    rho_S = rep_doc.get("rho_S")
     rep = RepData.make(
-        [_coerce(m) for m in rep_doc["exponents"]],
-        matrix_from_json(rho_S) if rho_S is not None else None,
-        _integer(sign) if sign is not None else None,
+        [_coerce(m) for m in rep_doc["exponents"]], matrix_from_json(rho_S) if rho_S is not None else None
     )
     return VVMF.make(
         _integer(doc["weight"]), rep, [qexpansion_from_json(c) for c in doc["components"]]

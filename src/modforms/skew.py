@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .classical import PolynomialQR, _apply_theta_form, _theta_form, serre_derivative_poly
+from .classical import PolynomialQR, _apply_theta_form, _collect, _theta_form, serre_derivative_poly
 from .qseries import QExpansion
 
 
@@ -30,14 +30,10 @@ class SkewPolynomial:
 
     @staticmethod
     def make(terms) -> SkewPolynomial:
-        acc: dict[int, PolynomialQR] = {}
-        for power, coeff in dict(terms).items():
-            if coeff.is_zero:
-                continue
-            if power < 0:
-                raise ValueError("d-power must be nonnegative")
-            acc[power] = acc[power] + coeff if power in acc else coeff
-        return SkewPolynomial(tuple(sorted((p, c) for p, c in acc.items() if not c.is_zero)))
+        terms = dict(terms)
+        if any(power < 0 for power, coeff in terms.items() if coeff):
+            raise ValueError("d-power must be nonnegative")
+        return SkewPolynomial(_collect(terms.items()))
 
     @staticmethod
     def from_poly(coeff: PolynomialQR) -> SkewPolynomial:
@@ -62,10 +58,7 @@ class SkewPolynomial:
         return weights.pop() if weights else 0
 
     def __add__(self, other: SkewPolynomial) -> SkewPolynomial:
-        acc = dict(self.terms)
-        for p, c in other.terms:
-            acc[p] = acc[p] + c if p in acc else c
-        return SkewPolynomial(tuple(sorted((p, c) for p, c in acc.items() if not c.is_zero)))
+        return SkewPolynomial(_collect(self.terms + other.terms))
 
     def __sub__(self, other: SkewPolynomial) -> SkewPolynomial:
         return self + (-other)
@@ -75,19 +68,15 @@ class SkewPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, SkewPolynomial):
-            acc: dict[int, PolynomialQR] = {}
+            terms = []
             for i, f in self.terms:
                 for j, g in other.terms:
                     dg = g
                     for r in range(i + 1):
-                        power = i + j - r
-                        term = (f * dg).scale(comb(i, r))
-                        acc[power] = acc[power] + term if power in acc else term
+                        terms.append((i + j - r, (f * dg).scale(comb(i, r))))
                         if r < i:
                             dg = serre_derivative_poly(dg)
-            return SkewPolynomial(
-                tuple(sorted((p, c) for p, c in acc.items() if not c.is_zero))
-            )
+            return SkewPolynomial(_collect(terms))
         if isinstance(other, PolynomialQR):
             return self * SkewPolynomial.from_poly(other)
         return SkewPolynomial(tuple((p, c.scale(other)) for p, c in self.terms))

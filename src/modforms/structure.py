@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .classical import EtaPower, _monomial, dim_M, monomial_basis
+from .classical import EtaPower, _collect, _monomial, dim_M, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NotIndecomposable, OutOfRange
 from .qseries import _int_product
 from .vvmf import VVMF, validate
@@ -40,22 +40,13 @@ class PoincareSeries:
 
     @staticmethod
     def make(num: dict) -> PoincareSeries:
-        return PoincareSeries(tuple(sorted((e, c) for e, c in num.items() if c)))
-
-    def numerator_dict(self) -> dict:
-        return dict(self.numerator)
+        return PoincareSeries(_collect(num.items()))
 
     def __add__(self, other: PoincareSeries) -> PoincareSeries:
-        acc = self.numerator_dict()
-        for e, c in other.numerator:
-            acc[e] = acc.get(e, 0) + c
-        return PoincareSeries.make(acc)
+        return PoincareSeries(_collect(self.numerator + other.numerator))
 
     def __sub__(self, other: PoincareSeries) -> PoincareSeries:
-        acc = self.numerator_dict()
-        for e, c in other.numerator:
-            acc[e] = acc.get(e, 0) - c
-        return PoincareSeries.make(acc)
+        return PoincareSeries(_collect(self.numerator + tuple((e, -c) for e, c in other.numerator)))
 
     def __str__(self) -> str:
         if not self.numerator:
@@ -90,10 +81,7 @@ def _weight_list(weights):
 
 def ps_from_weights(weights) -> PoincareSeries:
     """Series of a free module with the given generator weight multiset."""
-    num: dict = {}
-    for e in _weight_list(weights):
-        num[e] = num.get(e, 0) + 1
-    return PoincareSeries.make(num)
+    return PoincareSeries(_collect((e, 1) for e in _weight_list(weights)))
 
 
 def ps_cyclic(k0: int, p: int) -> PoincareSeries:
@@ -175,7 +163,7 @@ def coker_ps_difference(cls: TwoDimClass) -> dict:
     if cls.kind != "cyclic":
         raise ValueError("cokernel comparison only makes sense for cyclic classes")
     diff = ps_from_weights((cls.a, cls.b)) - ps_cyclic(cls.k0, 2)
-    num = diff.numerator_dict()
+    num = dict(diff.numerator)
     dense = [num.get(e, 0) for e in range(max(num, default=-1) + 1)]
     quot, rem = linalg._poly_divmod(dense, DENOMINATOR)
     if any(rem):

@@ -30,10 +30,9 @@ class RepData:
 
     exponents: tuple  # Fractions in [0, 1)
     rho_S: tuple | None = None  # p x p, rows of complex entries
-    s_squared_sign: int | None = None  # +1 or -1 when known
 
     @staticmethod
-    def make(exponents, rho_S=None, s_squared_sign=None) -> RepData:
+    def make(exponents, rho_S=None) -> RepData:
         ms = tuple(Fraction(m) for m in exponents)
         for m in ms:
             if not 0 <= m < 1:
@@ -42,18 +41,14 @@ class RepData:
             rho_S = tuple(tuple(complex(x) for x in row) for row in rho_S)
             if len(rho_S) != len(ms) or any(len(row) != len(ms) for row in rho_S):
                 raise ValueError("rho_S must be a p x p matrix")
-        if s_squared_sign is not None and type(s_squared_sign) is not int:  # a bool is not a sign
-            raise TypeError(f"s_squared_sign must be an int, not {s_squared_sign!r}")
-        if s_squared_sign not in (None, 1, -1):
-            raise ValueError("s_squared_sign must be +1 or -1")
-        return RepData(ms, rho_S, s_squared_sign)
+        return RepData(ms, rho_S)
 
     @property
     def p(self) -> int:
         return len(self.exponents)
 
-    def with_rho_S(self, matrix, sign=None) -> RepData:
-        return RepData.make(self.exponents, matrix, sign)
+    def with_rho_S(self, matrix) -> RepData:
+        return RepData.make(self.exponents, matrix)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -117,6 +118,19 @@ def test_mlde_solve_from_coeff_file(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["indicial"]["roots"] == ["0", "5/6"]
     assert doc["weight_relation"] is True
+
+
+def test_mlde_solve_irrational_roots_is_an_error(tmp_path, capsys):
+    # order 3 at weight 5 with g_1 = Q/(2^61 - 1) and g_0 = c R: 1000/1000003 is the one rational root
+    root, c1 = Fraction(1000, 1000003), Fraction(1, 2**61 - 1)
+    shifted = [root - Fraction(5 + 2 * l, 12) for l in range(3)]
+    c0 = -(shifted[0] * shifted[1] * shifted[2] + c1 * shifted[0])
+    coeffs = [{"weight": 6, "coords": {"0,1": str(c0)}}, {"weight": 4, "coords": {"1,0": str(c1)}}]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(coeffs))
+    assert main(["mlde", "solve", "--weight", "5", "--coeffs", str(path), "--terms", "8"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "IrrationalRoots" and "only 1 of 3" in error["message"]
 
 
 def test_monodromy_from_mlde_file(tmp_path, capsys):

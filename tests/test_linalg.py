@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modforms.linalg import _echelon, _poly_divmod, _poly_eval, _poly_mul, rank
+from modforms.linalg import _echelon, _poly_divmod, _poly_eval, _poly_mul, _poly_shift, rank
 from modforms.structure import all_2dim_classes, coker_ps_difference
 
 F = Fraction
@@ -185,6 +185,15 @@ def test_poly_eval_is_horner():
     a = [F(1, 3), -2, F(5, 7), 1]
     x = F(-9, 4)
     assert _poly_eval(a, x) == sum(c * x**i for i, c in enumerate(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ints, fracs), st.integers(-(2**70), 2**70), st.fractions(max_denominator=2**61 - 1))
+def test_poly_shift_is_a_taylor_shift(a, c, x):
+    shifted = _poly_shift(a, c)
+    assert len(shifted) == len(a)
+    assert _poly_eval(shifted, x) == _poly_eval(a, x + c)
+    assert _poly_shift(shifted, -c) == a
 
 
 def test_coker_difference_through_divmod():

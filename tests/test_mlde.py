@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from modforms.classical import PolynomialQR, _sigma, eisenstein, eta_power, monomial_basis, to_qexpansion
 from modforms.errors import (
+    IrrationalRoots,
     NonIntegralWeight,
     NotARoot,
     OrderTooLarge,
@@ -15,9 +18,12 @@ from modforms.errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
+from modforms.linalg import _poly_divmod, _poly_eval, _poly_mul
 from modforms.mlde import (
     MLDE,
+    IndicialData,
     _indicial_coefficients,
+    _rational_roots,
     fundamental_system,
     indicial_polynomial,
     mlde_from_exponents,
@@ -278,6 +284,107 @@ def test_frobenius_matches_fraction_recursion_large_denominators():
     sol = solve_frobenius(eq, root, 40)
     assert sol == fraction_frobenius(eq, root, 40)
     assert max(c.denominator for c in sol.coeffs).bit_length() > 1000
+
+
+# -- the rational root search against the trial division it replaced --
+
+def _divisors(n: int):
+    n = abs(n)
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+        i += 1
+    return out
+
+
+def reference_rational_roots(poly):
+    """Reference search: every divisor of the cleared constant over every divisor of the leading coefficient."""
+    roots = []
+    work = list(poly)
+    while len(work) > 1:
+        while work and work[-1] == 0:
+            work.pop()
+        if len(work) <= 1:
+            break
+        if work[0] == 0:
+            roots.append(Fraction(0))
+            work = work[1:]
+            continue
+        d = lcm(*(c.denominator for c in work))
+        found = None
+        for num in sorted(_divisors(int(work[0] * d))):
+            for den in sorted(_divisors(int(work[-1] * d))):
+                for sgn in (1, -1):
+                    cand = Fraction(sgn * num, den)
+                    if _poly_eval(work, cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots.append(found)
+        work = _poly_divmod(work, [-found, 1])[0]
+    return sorted(roots)
+
+
+def test_indicial_roots_match_reference_on_every_twelfth_root_set():
+    for exponents in ADMISSIBLE:
+        eq = mlde_from_exponents(exponents)
+        poly = _indicial_coefficients(eq)
+        roots = tuple(reference_rational_roots(poly))
+        assert indicial_polynomial(eq) == IndicialData(poly, roots, len(roots) == eq.order)
+
+
+def planted_polynomial(rng, top, most):
+    """A scaled product of up to ``most`` rational factors x - r, some repeated, with |num|, den <= top.
+
+    Half the time it also has an irreducible quadratic factor: x^2 - 2 s^2 (roots +-s sqrt 2) or
+    x^2 + x + s + 1 (no real roots).  Returns the polynomial and its sorted rational roots.
+    """
+    roots = [F(rng.randint(-top, top), rng.randint(1, top)) for _ in range(rng.randint(0, most))]
+    roots += rng.sample(roots, rng.randint(0, len(roots)))
+    poly = [F(rng.randint(1, top), rng.randint(1, top))]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, F(1)])
+    if rng.randint(0, 1):
+        s = F(rng.randint(1, top), rng.randint(1, top))
+        poly = _poly_mul(poly, rng.choice([[-2 * s * s, 0, 1], [s + 1, 1, 1]]))
+    return poly, sorted(roots)
+
+
+def test_rational_roots_match_reference_on_planted_polynomials():
+    rng = random.Random(13)
+    for _ in range(200):
+        poly, roots = planted_polynomial(rng, 12, 3)
+        assert _rational_roots(poly) == reference_rational_roots(poly) == roots
+
+
+def test_rational_roots_find_planted_roots_over_large_denominators():
+    # the reference would trial-divide numbers of hundreds of bits here
+    rng = random.Random(17)
+    for _ in range(200):
+        poly, roots = planted_polynomial(rng, 2**61 - 1, 2)
+        assert _rational_roots(poly) == roots
+
+
+def test_indicial_roots_of_large_denominator_equation():
+    # the equation of the large-denominator Frobenius test: only 1000/1000003 is rational
+    root, k0, c1 = F(1000, 1000003), 5, F(1, 2**61 - 1)
+    offsets = [F(k0 + 2 * l, 12) for l in range(3)]
+    c0 = -((root - offsets[0]) * (root - offsets[1]) * (root - offsets[2]) + c1 * (root - offsets[0]))
+    eq = MLDE.make(k0, 3, [PolynomialQR.monomial(0, 1, c0), PolynomialQR.monomial(1, 0, c1)])
+    start = time.perf_counter()
+    ind = indicial_polynomial(eq)
+    assert time.perf_counter() - start < 1
+    assert ind.roots == (root,) and not ind.all_rational
+    with pytest.raises(IrrationalRoots):
+        fundamental_system(eq, 8)
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def test_mlde_round_trip():
 
 
 def test_vvmf_round_trip():
-    rep = RepData.make([F(5, 12)], rho_S=[[-1j]], s_squared_sign=-1)
+    rep = RepData.make([F(5, 12)], rho_S=[[-1j]])
     form = VVMF.make(5, rep, [eta_power(10, 8)])
     doc = serialize.vvmf_to_json(form)
     back = serialize.vvmf_from_json(doc)
@@ -66,17 +66,16 @@ def test_poincare_round_trip():
 
 @pytest.mark.parametrize(
     "kind,field,value",
-    [("vvmf", "s_squared_sign", 1.0), ("vvmf", "s_squared_sign", True), ("mlde", "weight", True)],
-    ids=["sign_float", "sign_bool", "weight_bool"],
+    [("vvmf", "weight", 1.0), ("vvmf", "weight", True), ("mlde", "weight", True)],
+    ids=["vvmf_weight_float", "vvmf_weight_bool", "weight_bool"],
 )
 def test_integer_fields_reject_floats_and_bools(kind, field, value):
     if kind == "vvmf":
-        rep = RepData.make([F(5, 12)], rho_S=[[-1j]], s_squared_sign=-1)
+        rep = RepData.make([F(5, 12)], rho_S=[[-1j]])
         doc = serialize.vvmf_to_json(VVMF.make(5, rep, [eta_power(10, 8)]))
-        doc["rep"][field] = value
     else:
         doc = serialize.mlde_to_json(mlde_from_exponents([0, F(5, 6)]))
-        doc[field] = value
+    doc[field] = value
     decode = serialize.vvmf_from_json if kind == "vvmf" else serialize.mlde_from_json
     with pytest.raises(TypeError):
         decode(doc)

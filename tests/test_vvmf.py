@@ -45,16 +45,10 @@ def test_rep_data_validation():
         RepData.make([F(3, 2)])
     with pytest.raises(ValueError):
         RepData.make([F(-1, 12)])
-    rep = RepData.make([0, F(5, 6)], rho_S=[[1, 0], [0, -1]], s_squared_sign=1)
+    rep = RepData.make([0, F(5, 6)], rho_S=[[1, 0], [0, -1]])
     assert rep.p == 2 and rep.rho_S[1][1] == -1
     with pytest.raises(ValueError):
         RepData.make([0], rho_S=[[1, 0]])
-
-
-@pytest.mark.parametrize("sign", [True, 1.0])
-def test_rep_data_rejects_a_non_int_sign(sign):
-    with pytest.raises(TypeError):
-        RepData.make([0], rho_S=[[1]], s_squared_sign=sign)
 
 
 def test_validate_pass_and_fail():
