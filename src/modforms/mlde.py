@@ -44,15 +44,16 @@ from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
 
-def _may_have_root(poly: list, lo: int, hi: int) -> bool:
-    """False only if poly has no root in the open interval (lo, hi), by Descartes' rule of signs.
+def _descartes_signs(poly: list, lo: int, hi: int) -> list:
+    """Signs (True for > 0) of the nonzero coefficients of (1 + y)^deg poly((hi + lo y) / (1 + y)).
 
-    (1 + y)^deg poly((lo + hi y) / (1 + y)) has as many positive roots as
-    poly has in (lo, hi), and no more than its coefficients change sign.
+    Its positive roots are poly's roots in the open interval (lo, hi), and by
+    Descartes' rule of signs they number the sign changes of this list less
+    an even count: none for no change, exactly one, simple, for one.  The
+    first sign is poly's just below hi, the last its sign just above lo.
     """
     scaled = [c * (hi - lo) ** i for i, c in enumerate(_poly_shift(poly, lo))]
-    signs = [c > 0 for c in _poly_shift(scaled[::-1], 1) if c]
-    return any(map(ne, signs, signs[1:]))
+    return [c > 0 for c in _poly_shift(scaled[::-1], 1) if c]
 
 
 def _rational_roots(poly) -> list:
@@ -62,8 +63,10 @@ def _rational_roots(poly) -> list:
     is a monic int polynomial, so its rational roots are integers, and each
     lies below b = 2 max_l 2^ceil(bitlen(J_l) / (p - l)), above the Fujiwara
     bound.  Bisecting (-b, b) keeps an interval while Descartes' rule allows
-    a root in it (Collins-Akritas) and tests each integer midpoint exactly;
-    each root found is divided out as often as it divides.
+    a root in it (Collins-Akritas) and tests each integer midpoint exactly.
+    An interval with one sign change holds one simple root, so it is halved
+    by the sign of J at the midpoint alone.  Each root found is divided out
+    as often as it divides.
     """
     work = list(poly)
     while work and not work[-1]:
@@ -78,7 +81,23 @@ def _rational_roots(poly) -> list:
     found, intervals = [], [(-b, b)]
     while intervals:
         lo, hi = intervals.pop()
-        if hi - lo > 1 and _may_have_root(J, lo, hi):
+        if hi - lo < 2:
+            continue
+        signs = _descartes_signs(J, lo, hi)
+        changes = sum(map(ne, signs, signs[1:]))
+        if changes == 1:
+            # J keeps the sign signs[-1] from lo up to its one root in (lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                value = _poly_eval(J, mid)
+                if not value:
+                    found.append(mid)
+                    break
+                if (value > 0) == signs[-1]:
+                    lo = mid
+                else:
+                    hi = mid
+        elif changes:
             mid = (lo + hi) // 2
             if not _poly_eval(J, mid):
                 found.append(mid)

@@ -156,6 +156,7 @@ def free_basis_to_json(report: FreeBasisReport) -> dict:
         "rank": report.rank,
         "max_weight": report.max_weight,
         "dims": [[w, d] for w, d in report.dims],
+        "spans": report.spans,
         "message": report.message,
     }
 

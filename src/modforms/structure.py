@@ -7,6 +7,14 @@ The classification of reducible indecomposable 2-dimensional representations
 runs over 24 classes (a, b) with a - b = +-2 mod 12, split between direct
 sums and cyclic modules, with exactly two cyclic classes carrying a
 1-dimensional cokernel.
+
+`free_basis_verify` proves its verdict for p generators of a p-dimensional
+representation from their modular determinant det F, a holomorphic form
+of weight K = sum k_i: its coefficients through the Sturm bound q^(K/12)
+decide whether it vanishes, and the paper's weight formula K = 12 sum m_j
+with det F nonzero at q^(sum m_j) decides whether F is a basis of H(rho).
+Other sets get a weight-by-weight rank sweep up to k_max, which is
+evidence, not proof.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import linalg
 from .classical import EtaPower, _collect, _monomial, dim_M, monomial_basis
@@ -177,19 +186,66 @@ class FreeBasisReport:
     rank: int
     max_weight: int
     dims: tuple  # (weight, dimension) pairs, nonzero weights only
+    spans: bool  # proved: the generators are a free basis of H(rho)
     message: str
 
 
-def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
-    """Desk-scale freeness check for a proposed generating set.
+def _det_series(cells, n: int) -> list[int]:
+    """First n coefficients of the determinant of a square matrix of int series.
 
-    For every weight w <= k_max, spans the weight-w piece by monomial
-    multiples of the generators and checks, in exact arithmetic, that they
-    are linearly independent; the count then automatically matches the
-    Poincare coefficient.  Consistency up to k_max is evidence, not a proof,
-    of freeness.  Raises InsufficientTruncation when a weight has more
-    candidate multiples than known coefficients, since rank could then never
-    reach the member count whatever the generators are.
+    cells[i][j] holds the first n coefficients of entry (i, j).  Laplace
+    expansion along the rows: the minor on the first i rows and a set of
+    columns is formed once and shared by every term of the Leibniz sum that
+    extends it, so p x p costs p 2^(p-1) series products, not p! (p - 1).
+    """
+    minors = {0: [1] + [0] * (n - 1)}
+    for row in cells:
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or not any(entry):
+                    continue
+                term = _int_product(minor, entry)
+                key = cols | 1 << j
+                # cofactor sign: (-1)^(number of the minor's columns right of j)
+                grown[key] = list(map(sub if (cols >> j).bit_count() & 1 else add, grown.get(key, [0] * n), term))
+        minors = grown
+    return minors.get((1 << len(cells)) - 1, [0] * n)
+
+
+def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
+    """Freeness check for r proposed generators F_1..F_r of H(rho), rho of dimension p.
+
+    For r = p the verdict is proved from the modular determinant.  det F =
+    det[f_ij] is a holomorphic form of weight K = sum k_i, and a nonzero
+    form of weight K has order at most K/12 at the cusp (Sturm, LNM 1240,
+    1987).  det F lies in q^L C[[q]], L = sum_j low_j with low_j the lowest
+    leading exponent in component j, so its coefficients at q^(L + t) for
+    t <= T = floor(K/12 - L), the Sturm index, decide it:
+
+    - a known nonzero one proves the generators independent over C((q)),
+      hence over M: every weight-w piece then has the dimension the
+      Poincare series of the weights gives, and no rank is computed;
+    - if all T + 1 are known and vanish, det F = 0 is proved and the weight
+      sweep below runs only to name the first dependent weight;
+    - if the known ones, fewer than T + 1, vanish, nothing is decided and
+      InsufficientTruncation is raised.
+
+    `spans` is True exactly when F is proved a free basis of H(rho).  By
+    the paper that holds iff K = 12 sum m_j and the coefficient of
+    q^(sum m_j) in det F is nonzero (det F is then c eta^(2K)).  Independence
+    rests on the coefficients alone; a proof of dependence and the `spans`
+    claim also rest on the inputs being holomorphic forms for one rho, as
+    fundamental systems and their D- and M-images are.
+
+    For r != p, and to name the weight of a dependent square set, the sweep
+    spans each weight-w piece, w <= k_max, by monomial multiples of the
+    generators and checks in exact arithmetic that they are linearly
+    independent: evidence of freeness up to k_max, not a proof.  If det F =
+    0 is proved and no weight up to k_max shows a relation, the report has
+    ok False.  Both paths first raise InsufficientTruncation when a weight
+    has more candidate multiples than known coefficients, since rank could
+    then never reach the member count whatever the generators are.
     """
     gens = list(generators)
     if not gens:
@@ -203,51 +259,73 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     weights = [g.weight for g in gens]
     depth = min(min(f.truncation_order for f in g.components) for g in gens)
     depth = min(depth, n_terms)
+    series = ps_from_weights(weights)
+    dims = [(w, ps_coefficient(series, w)) for w in range(min(weights), k_max + 1)]
+    dims = tuple((w, d) for w, d in dims if d)
+    columns = rep.p * (depth + 1)
+    for w, d in dims:
+        if columns < d:
+            raise InsufficientTruncation(
+                f"weight {w} has {d} candidate multiples but only {columns} "
+                f"known coefficients; raise the truncation above {depth}"
+            )
     # Cells of slot j are the coefficients of q^(low_j + n), n <= depth, over the lcm of the
-    # slot's denominators (a column scaling, which keeps the rank).  Nonzero components of
-    # slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j] holds generator i's
-    # count of leading zero cells in slot j and its int numerators after them.
+    # slot's denominators (a column scaling, which keeps the rank and whether det vanishes).
+    # Nonzero components of slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j]
+    # holds generator i's count of leading zero cells in slot j and its int numerators after them.
     slots = [[] for _ in gens]
+    lows = []
     for column in zip(*(g.components for g in gens)):
         low = min((f.leading for f in column if not f.is_zero), default=0)
         den = math.lcm(*(f.den for f in column))
+        lows.append(low)
         for slot, f in zip(slots, column):
             zeros = depth + 1 if f.is_zero else min(int(f.leading - low), depth + 1)
             slot.append((zeros, [x * (den // f.den) for x in f.nums[: depth + 1 - zeros]]))
-    dims = []
-    for w in range(min(weights), k_max + 1):
-        members = []
+    square = len(gens) == rep.p
+    if square:
+        weight, det_low = sum(weights), sum(lows)
+        sturm = math.floor(Fraction(weight, 12) - det_low)
+        n = min(depth, sturm) + 1
+        det = _det_series([[([0] * z + nums)[:n] for z, nums in slot] for slot in slots], n) if n > 0 else []
+        first = next((t for t, c in enumerate(det) if c), None)
+        if first is not None:
+            exponents = sum(rep.exponents)
+            top = int(exponents - det_low)  # relative index of q^(sum m_j); every slot has a nonzero component
+            spans = weight == 12 * exponents and 0 <= top < n and det[top] != 0
+            return FreeBasisReport(
+                True,
+                len(gens),
+                k_max,
+                dims,
+                spans,
+                f"free of rank {len(gens)}: det F is nonzero at q^({det_low + first}); "
+                + ("a basis of H(rho)" if spans else "does not span H(rho)"),
+            )
+        if depth < sturm:
+            raise InsufficientTruncation(
+                f"det F vanishes through q^({det_low + depth}) but is decided only at its Sturm "
+                f"bound q^({det_low + sturm}); raise the truncation above {depth}"
+            )
+    for w, d in dims:
+        rows = []
         for i, g in enumerate(gens):
             gap = w - weights[i]
             if gap < 0 or gap % 2:
                 continue
             for u, v in monomial_basis(gap):
-                members.append((i, u, v))
-        if not members:
-            continue
-        columns = rep.p * (depth + 1)
-        if columns < len(members):
-            raise InsufficientTruncation(
-                f"weight {w} has {len(members)} candidate multiples but only {columns} "
-                f"known coefficients; raise the truncation above {depth}"
-            )
-        rows = []
-        for i, u, v in members:
-            # Q^u R^v starts at q^0, so a product keeps its slot's leading zeros (empty nums, empty product)
-            row = []
-            for zeros, nums in slots[i]:
-                row += [0] * zeros + _int_product(_monomial(u, v, depth)[: len(nums)], nums)
-            rows.append(row)
-        if linalg.rank(rows) != len(members):
+                # Q^u R^v starts at q^0, so a product keeps its slot's leading zeros (empty nums, empty product)
+                row = []
+                for zeros, nums in slots[i]:
+                    row += [0] * zeros + _int_product(_monomial(u, v, depth)[: len(nums)], nums)
+                rows.append(row)
+        if linalg.rank(rows) != d:
             raise DependentGenerators(w)
-        dims.append((w, len(members)))
-    return FreeBasisReport(
-        True,
-        len(gens),
-        k_max,
-        tuple(dims),
-        f"consistent with free of rank {len(gens)} up to weight {k_max}",
-    )
+    if square:
+        message = f"det F vanishes, so the generators are dependent over M, but no weight up to {k_max} shows it"
+    else:
+        message = f"consistent with free of rank {len(gens)} up to weight {k_max}"
+    return FreeBasisReport(not square, len(gens), k_max, dims, False, message)
 
 
 def growth_bound(ps: PoincareSeries, p: int, k0: int, k_range: int) -> Fraction:

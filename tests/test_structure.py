@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from modforms.errors import (
 )
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import (
+    _det_series,
     FundamentalWeights,
     PoincareSeries,
     all_2dim_classes,
@@ -251,3 +254,111 @@ def test_free_basis_refuses_short_truncation():
     system = fundamental_system(mlde_from_exponents([0, F(5, 6)]), 6)
     with pytest.raises(InsufficientTruncation):
         free_basis_verify([system, serre_vvmf(system)], 120, 6)
+
+
+def leibniz_series(cells, n):
+    """Reference: first n coefficients of det[cells[i][j]] summed over every permutation."""
+    total = [0] * n
+    for perm in permutations(range(len(cells))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = [1] + [0] * (n - 1)
+        for i, j in enumerate(perm):
+            entry = cells[i][j]
+            term = [sum(term[s] * entry[t - s] for s in range(t + 1)) for t in range(n)]
+        total = [x + sign * y for x, y in zip(total, term)]
+    return total
+
+
+def test_det_series_matches_leibniz():
+    rng = random.Random(14)
+    for _ in range(300):
+        p, n = rng.randint(1, 5), rng.randint(1, 4)
+        cells = [
+            [[rng.choice((0, 0, rng.randint(-2**70, 2**70))) for _ in range(n)] for _ in range(p)]
+            for _ in range(p)
+        ]
+        assert _det_series(cells, n) == leibniz_series(cells, n)
+    # a singular matrix whose entries are all nonzero: row 2 is twice row 1
+    cells = [[[1, 2], [3, 4]], [[2, 4], [6, 8]]]
+    assert _det_series(cells, 2) == [0, 0]
+
+
+def test_free_basis_spans_only_for_a_basis(cyclic_system):
+    # for (0, 5/6) a basis has weights summing to K = 12 (0 + 5/6) = 10
+    d_form = serre_vvmf(cyclic_system)
+    report = free_basis_verify([cyclic_system, d_form], 40, 64)
+    assert report.ok and report.spans
+    q_mult = module_action(eisenstein("Q", 64), 4, cyclic_system)
+    delta_d = module_action(delta(64), 12, d_form)
+    for generators in ([q_mult, d_form], [cyclic_system, delta_d]):
+        report = free_basis_verify(generators, 40, 64)
+        assert report.ok and not report.spans and report.rank == 2
+        series = ps_from_weights([g.weight for g in generators])
+        assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in range(4, 41) if ps_coefficient(series, w)]
+    # E4 alone is free for the trivial rep but misses 1 (K = 4, not 0)
+    e4 = VVMF.make(4, RepData.make([0]), [eisenstein("Q", 48)])
+    report = free_basis_verify([e4], 30, 48)
+    assert report.ok and not report.spans
+    # the zero-component pair: K = 10, 12 (0 + 1/2) = 6
+    rep = RepData.make([0, F(1, 2)])
+    q_form = VVMF.make(4, rep, [eisenstein("Q", 20), QExpansion.zero(20)])
+    eta_form = VVMF.make(6, rep, [QExpansion.zero(20), eta_power(12, 20)])
+    report = free_basis_verify([q_form, eta_form], 20, 20)
+    assert report.ok and not report.spans
+
+
+def test_free_basis_short_truncation_is_not_dependent():
+    # F and Delta^3 DF are independent (det F = c eta^92 leads at q^(23/6)); normalized,
+    # Delta^3 DF is known through N - 3 terms only, which once made F's own multiples
+    # look dependent at weights 16 (N 3) and 28 (N 4)
+    eq = mlde_from_exponents([0, F(5, 6)])
+    for n in (3, 4, 5, 6, 8):
+        base = fundamental_system(eq, n)
+        cube = delta(n) * delta(n) * delta(n)
+        lifted = module_action(cube, 36, serre_vvmf(base))
+        top = VVMF.make(42, lifted.rep, [f.normalized() for f in lifted.components])
+        if n < 6:
+            with pytest.raises(InsufficientTruncation):
+                free_basis_verify([base, top], 50, n)
+            continue
+        report = free_basis_verify([base, top], 50, n)
+        assert report.ok and not report.spans
+        series = ps_from_weights([4, 42])
+        assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in range(4, 51) if ps_coefficient(series, w)]
+
+
+def test_free_basis_dependent_beyond_k_max(cyclic_system):
+    # det[F, Delta F] = 0, but the relation Delta * F - 1 * (Delta F) has weight 16
+    shifted = module_action(delta(64), 12, cyclic_system)
+    report = free_basis_verify([cyclic_system, shifted], 14, 64)
+    assert not report.ok and not report.spans
+    with pytest.raises(DependentGenerators) as err:
+        free_basis_verify([cyclic_system, shifted], 16, 64)
+    assert err.value.weight == 16
+
+
+def test_free_basis_determinant_on_every_twelfth_root_set():
+    # every set of 1-4 distinct exponents i/12 with an integral k_0: det[D^i F_j] leads at
+    # q^(sum m_j) with the Vandermonde product, so F, DF, ... is a basis
+    count = 0
+    for p, n, k_max in ((1, 8, 16), (2, 8, 16), (3, 8, 14), (4, 8, 12)):
+        for idx in combinations(range(12), p):
+            ms = [F(i, 12) for i in idx]
+            if (F(12, p) * sum(ms) - p + 1).denominator != 1:
+                continue
+            count += 1
+            eq = mlde_from_exponents(ms)
+            generators = [fundamental_system(eq, n)]
+            for _ in range(p - 1):
+                generators.append(serre_vvmf(generators[-1]))
+            leading = [[[g.components[j].coefficient(m)] for j, m in enumerate(ms)] for g in generators]
+            assert leibniz_series(leading, 1) == [prod(ms[j] - ms[i] for i, j in combinations(range(p), 2))]
+            report = free_basis_verify(generators, k_max, n)
+            assert report.ok and report.spans and report.rank == p
+            series = ps_cyclic(eq.weight, p)
+            weights = range(eq.weight, k_max + 1)
+            assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in weights if ps_coefficient(series, w)]
+            scales = [12**40, F(1, 2**61 - 1), F(-7, 3**50), 5]
+            rescaled = [VVMF.make(g.weight, g.rep, [f.scale(c) for f in g.components]) for g, c in zip(generators, scales)]
+            assert free_basis_verify(rescaled, k_max, n) == report
+    assert count == 244
