@@ -17,6 +17,8 @@ Cases, as the workload draws them (``perfbench/workloads.py``, ``Sizes.fb``):
 * ``free``: F, DF, ..., D^(p-1)F of the fundamental system at each
   (N, k_max) level of its order, for one low- and one high-height exponent
   set of orders 2 and 3 and one set of order 1 (all with k_0 >= 0);
+* ``partial``: the proper sub-towers [F] and [F, DF] of each order-3 set at
+  its first level, free of rank 1 and 2 for a rep of dimension 3;
 * ``dependent``: the negative control [F, Q F] at the first level of each
   order, with k_max raised to k_0 + 4, which must raise DependentGenerators
   at k_0 + 4;
@@ -89,6 +91,12 @@ def cases():
                 _, gens = tower(twelfths, n)
                 out.append((f"free p{p} ({label})/12 N{n} k{k_max}", free(gens, k_max, n)))
         n, k_max = LEVELS[p][0]
+        if p == 3:
+            for twelfths in sets:
+                _, gens = tower(twelfths, n)
+                label = ",".join(map(str, twelfths))
+                for r in (1, 2):
+                    out.append((f"partial r{r} p{p} ({label})/12 N{n} k{k_max}", free(gens[:r], k_max, n)))
         eq, gens = tower(sets[0], n)
         pair = [gens[0], module_action(eisenstein("Q", n), 4, gens[0])]
         label = ",".join(map(str, sets[0]))

@@ -12,7 +12,10 @@ Uses only the public API, so the same script times any two source trees
   and DF Q^u R^v, one row of 2(N + 1) ints each: slot j holds the
   coefficients times the lcm of slot j's denominators over all
   generators); family ``dependent``: the same rows for F and Q F, whose
-  rank falls short by the overlap of their multiples;
+  rank falls short by the overlap of their multiples.  ``free_basis_verify``
+  now decides a free set from its minors and ranks only a dependent one,
+  so the ``free`` rows (and the ``third`` ones below) time rank on
+  matrices the library no longer builds;
 * ``from_qexpansion``, families ``M40`` and ``M120``: the series through
   q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of M_w, for w = 40
   and 120, mapped back to that element (shape: N + 1 checked coefficients

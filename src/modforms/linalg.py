@@ -5,11 +5,10 @@ on int rows: each column is divided by its gcd, and every entry stays an
 int minor of that matrix.  Callers clear denominators along an axis that
 keeps the rank: `vvmf.is_essential` by rows, `structure.free_basis_verify`
 by columns, one per known coefficient of each component, p(N+1) of them
-(1026 for p = 2 at N 512).  The latter ranks only sets that its modular
-determinant proves dependent, or that are not square, to name a weight.
-Matrices here have tens of rows.  Arithmetic is
-exact and every entry is a minor whatever the pivot order, so no pivoting
-strategy beyond "first nonzero" is needed.
+(1026 for p = 2 at N 512).  The latter ranks only sets that its minors
+prove dependent, to name a weight.  Matrices here have tens of rows.
+Arithmetic is exact and every entry is a minor whatever the pivot order,
+so no pivoting strategy beyond "first nonzero" is needed.
 
 Dense polynomials are coefficient lists in ascending degree, over ints or
 Fractions: product, Horner evaluation, the Taylor shift a(x + c) and

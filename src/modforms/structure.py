@@ -8,13 +8,12 @@ runs over 24 classes (a, b) with a - b = +-2 mod 12, split between direct
 sums and cyclic modules, with exactly two cyclic classes carrying a
 1-dimensional cokernel.
 
-`free_basis_verify` proves its verdict for p generators of a p-dimensional
-representation from their modular determinant det F, a holomorphic form
-of weight K = sum k_i: its coefficients through the Sturm bound q^(K/12)
-decide whether it vanishes, and the paper's weight formula K = 12 sum m_j
-with det F nonzero at q^(sum m_j) decides whether F is a basis of H(rho).
-Other sets get a weight-by-weight rank sweep up to k_max, which is
-evidence, not proof.
+`free_basis_verify` proves its verdict for any r generators of a
+p-dimensional representation from their r x r minors, the components of
+F_1 ^ ... ^ F_r, a holomorphic form of weight K = sum k_i: all of them
+vanish through q^((K + C(p, r) - 1)/12) iff the generators are dependent.
+An echelon basis of the span of the minors has e <= C(p, r) distinct leading
+exponents lambda; its Wronskian has weight eK + e(e - 1), leads at q^(sum lambda).
 """
 
 from __future__ import annotations
@@ -190,10 +189,12 @@ class FreeBasisReport:
     message: str
 
 
-def _det_series(cells, n: int) -> list[int]:
-    """First n coefficients of the determinant of a square matrix of int series.
+def _det_series(cells, n: int) -> dict:
+    """First n coefficients of every maximal minor of an r x p matrix of int series.
 
-    cells[i][j] holds the first n coefficients of entry (i, j).  Laplace
+    cells[i][j] holds the first n coefficients of entry (i, j).  The result
+    maps each set of r columns, as a bit mask, to its minor; a set left out
+    has a zero entry in every Leibniz term, and r > p leaves none.  Laplace
     expansion along the rows: the minor on the first i rows and a set of
     columns is formed once and shared by every term of the Leibniz sum that
     extends it, so p x p costs p 2^(p-1) series products, not p! (p - 1).
@@ -210,42 +211,41 @@ def _det_series(cells, n: int) -> list[int]:
                 # cofactor sign: (-1)^(number of the minor's columns right of j)
                 grown[key] = list(map(sub if (cols >> j).bit_count() & 1 else add, grown.get(key, [0] * n), term))
         minors = grown
-    return minors.get((1 << len(cells)) - 1, [0] * n)
+    return minors
 
 
 def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     """Freeness check for r proposed generators F_1..F_r of H(rho), rho of dimension p.
 
-    For r = p the verdict is proved from the modular determinant.  det F =
-    det[f_ij] is a holomorphic form of weight K = sum k_i, and a nonzero
-    form of weight K has order at most K/12 at the cusp (Sturm, LNM 1240,
-    1987).  det F lies in q^L C[[q]], L = sum_j low_j with low_j the lowest
-    leading exponent in component j, so its coefficients at q^(L + t) for
-    t <= T = floor(K/12 - L), the Sturm index, decide it:
+    The r x r minors of F = [f_ij] are the components of F_1 ^ ... ^ F_r, a
+    holomorphic form of weight K = sum k_i; the one on the column set J lies
+    in q^(L_J) C[[q]], L_J the sum of those slots' lowest leading exponents.
+    If some minor is nonzero, one has a nonzero coefficient at or below q^B,
+    B = (K + C(p, r) - 1)/12: an echelon basis of their span has e <= C(p, r)
+    distinct leading exponents lambda, and its Wronskian has weight
+    eK + e(e - 1) and leads at q^(sum lambda) (Mason, IJNT 3, 2007; for r = p
+    B is the Sturm bound K/12, LNM 1240, 1987).  So, for every r:
 
-    - a known nonzero one proves the generators independent over C((q)),
-      hence over M: every weight-w piece then has the dimension the
-      Poincare series of the weights gives, and no rank is computed;
-    - if all T + 1 are known and vanish, det F = 0 is proved and the weight
-      sweep below runs only to name the first dependent weight;
-    - if the known ones, fewer than T + 1, vanish, nothing is decided and
-      InsufficientTruncation is raised.
+    - a known nonzero coefficient in any minor proves the generators
+      independent over M; `dims` then come from the Poincare series of the
+      weights, and no rank is computed;
+    - every minor zero at q^(L_J + t), t <= floor(B - L_J), proves them
+      dependent (for r > p there is no minor).  A rank sweep of the monomial
+      multiples up to k_max then only names the first dependent weight in
+      DependentGenerators; if none up to k_max shows it, ok is False;
+    - anything else raises InsufficientTruncation.
+
+    Slot j is known through q^(low_j + depth_j), depth_j the least horizon of
+    its components less low_j, capped at n_terms; the minors use the least
+    depth_j.  InsufficientTruncation is raised first when a weight has more
+    candidate multiples than known coefficients.
 
     `spans` is True exactly when F is proved a free basis of H(rho).  By
-    the paper that holds iff K = 12 sum m_j and the coefficient of
+    the paper that holds iff r = p, K = 12 sum m_j and the coefficient of
     q^(sum m_j) in det F is nonzero (det F is then c eta^(2K)).  Independence
     rests on the coefficients alone; a proof of dependence and the `spans`
     claim also rest on the inputs being holomorphic forms for one rho, as
     fundamental systems and their D- and M-images are.
-
-    For r != p, and to name the weight of a dependent square set, the sweep
-    spans each weight-w piece, w <= k_max, by monomial multiples of the
-    generators and checks in exact arithmetic that they are linearly
-    independent: evidence of freeness up to k_max, not a proof.  If det F =
-    0 is proved and no weight up to k_max shows a relation, the report has
-    ok False.  Both paths first raise InsufficientTruncation when a weight
-    has more candidate multiples than known coefficients, since rank could
-    then never reach the member count whatever the generators are.
     """
     gens = list(generators)
     if not gens:
@@ -256,57 +256,57 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
             raise ValueError("generators must share representation data")
         if not validate(g).ok:
             raise ValueError("generators must pass holomorphy validation")
+    r, p = len(gens), rep.p
     weights = [g.weight for g in gens]
-    depth = min(min(f.truncation_order for f in g.components) for g in gens)
-    depth = min(depth, n_terms)
     series = ps_from_weights(weights)
     dims = [(w, ps_coefficient(series, w)) for w in range(min(weights), k_max + 1)]
     dims = tuple((w, d) for w, d in dims if d)
-    columns = rep.p * (depth + 1)
+    # Cells of slot j are the coefficients of q^(low_j + t), t <= depth_j, over the lcm of the
+    # slot's denominators (a column scaling, which keeps the rank and whether a minor vanishes).
+    # Nonzero components of slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j]
+    # holds generator i's count of leading zero cells in slot j and its int numerators after them.
+    slots = [[] for _ in gens]
+    lows, depths = [], []
+    for column in zip(*(g.components for g in gens)):
+        low = min((f.leading for f in column if not f.is_zero), default=0)
+        shifts = [math.floor(f.leading - low) for f in column]
+        depth = max(min(n_terms, *(s + f.truncation_order for s, f in zip(shifts, column))), -1)
+        den = math.lcm(*(f.den for f in column))
+        lows.append(low)
+        depths.append(depth)
+        for slot, f, s in zip(slots, column, shifts):
+            zeros = depth + 1 if f.is_zero else min(s, depth + 1)
+            slot.append((zeros, [x * (den // f.den) for x in f.nums[: depth + 1 - zeros]]))
+    depth, columns = min(depths), sum(depths) + p
     for w, d in dims:
         if columns < d:
             raise InsufficientTruncation(
                 f"weight {w} has {d} candidate multiples but only {columns} "
                 f"known coefficients; raise the truncation above {depth}"
             )
-    # Cells of slot j are the coefficients of q^(low_j + n), n <= depth, over the lcm of the
-    # slot's denominators (a column scaling, which keeps the rank and whether det vanishes).
-    # Nonzero components of slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j]
-    # holds generator i's count of leading zero cells in slot j and its int numerators after them.
-    slots = [[] for _ in gens]
-    lows = []
-    for column in zip(*(g.components for g in gens)):
-        low = min((f.leading for f in column if not f.is_zero), default=0)
-        den = math.lcm(*(f.den for f in column))
-        lows.append(low)
-        for slot, f in zip(slots, column):
-            zeros = depth + 1 if f.is_zero else min(int(f.leading - low), depth + 1)
-            slot.append((zeros, [x * (den // f.den) for x in f.nums[: depth + 1 - zeros]]))
-    square = len(gens) == rep.p
-    if square:
-        weight, det_low = sum(weights), sum(lows)
-        sturm = math.floor(Fraction(weight, 12) - det_low)
-        n = min(depth, sturm) + 1
-        det = _det_series([[([0] * z + nums)[:n] for z, nums in slot] for slot in slots], n) if n > 0 else []
-        first = next((t for t, c in enumerate(det) if c), None)
+    wedge = "det F" if r == p else " ^ ".join(f"F_{i}" for i in range(1, r + 1))
+    weight, low = sum(weights), sum(sorted(lows)[:r])  # the least L_J
+    reach = math.floor(Fraction(weight + math.comb(p, r) - 1, 12) - low) if r <= p else -1
+    n = min(depth, reach) + 1
+    minors = _det_series([[([0] * z + nums)[:n] for z, nums in slot] for slot in slots], n) if n > 0 else {}
+    leads = []
+    for cols, minor in minors.items():
+        first = next((t for t, c in enumerate(minor) if c), None)
         if first is not None:
-            exponents = sum(rep.exponents)
-            top = int(exponents - det_low)  # relative index of q^(sum m_j); every slot has a nonzero component
-            spans = weight == 12 * exponents and 0 <= top < n and det[top] != 0
-            return FreeBasisReport(
-                True,
-                len(gens),
-                k_max,
-                dims,
-                spans,
-                f"free of rank {len(gens)}: det F is nonzero at q^({det_low + first}); "
-                + ("a basis of H(rho)" if spans else "does not span H(rho)"),
-            )
-        if depth < sturm:
-            raise InsufficientTruncation(
-                f"det F vanishes through q^({det_low + depth}) but is decided only at its Sturm "
-                f"bound q^({det_low + sturm}); raise the truncation above {depth}"
-            )
+            leads.append(sum([x for j, x in enumerate(lows) if cols >> j & 1], first))
+    if leads:
+        m = sum(rep.exponents)
+        top = int(m - low)  # index of q^(sum m_j) in det F for r = p, where every slot has a nonzero component
+        spans = r == p and weight == 12 * m and 0 <= top < n and minors[(1 << r) - 1][top] != 0
+        claim = "a basis of H(rho)" if spans else "does not span H(rho)"
+        message = f"free of rank {r}: {wedge} is nonzero at q^({min(leads)}); {claim}"
+        return FreeBasisReport(True, r, k_max, dims, spans, message)
+    if depth < reach:
+        raise InsufficientTruncation(
+            f"{wedge} vanishes through q^({low + depth}) but is decided only at its Sturm "
+            f"bound q^({low + reach}); raise the truncation above {depth}"
+        )
+    deepest = max(*depths, 0)
     for w, d in dims:
         rows = []
         for i, g in enumerate(gens):
@@ -317,15 +317,12 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
                 # Q^u R^v starts at q^0, so a product keeps its slot's leading zeros (empty nums, empty product)
                 row = []
                 for zeros, nums in slots[i]:
-                    row += [0] * zeros + _int_product(_monomial(u, v, depth)[: len(nums)], nums)
+                    row += [0] * zeros + _int_product(_monomial(u, v, deepest)[: len(nums)], nums)
                 rows.append(row)
         if linalg.rank(rows) != d:
             raise DependentGenerators(w)
-    if square:
-        message = f"det F vanishes, so the generators are dependent over M, but no weight up to {k_max} shows it"
-    else:
-        message = f"consistent with free of rank {len(gens)} up to weight {k_max}"
-    return FreeBasisReport(not square, len(gens), k_max, dims, False, message)
+    message = f"{wedge} vanishes, so the generators are dependent over M, but no weight up to {k_max} shows it"
+    return FreeBasisReport(False, r, k_max, dims, False, message)
 
 
 def growth_bound(ps: PoincareSeries, p: int, k0: int, k_range: int) -> Fraction:

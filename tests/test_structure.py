@@ -141,6 +141,14 @@ def test_free_basis_single_generator():
     report = free_basis_verify([form], 30, 48)
     assert report.ok
     assert all(count == dim_M(w - 4) for w, count in report.dims)
+    # one nonzero F of a larger rep is free whatever k_max; a rank sweep once reported
+    # its multiples dependent at weights 64, 88 and 51 for want of terms
+    for ms, k_max, n in (([0, F(5, 6)], 80, 4), ([0, F(5, 6)], 120, 6), ([F(1, 12), F(5, 12), F(9, 12)], 120, 3)):
+        eq = mlde_from_exponents(ms)
+        report = free_basis_verify([fundamental_system(eq, n)], k_max, n)
+        assert report.ok and report.rank == 1 and not report.spans
+        expected = [(w, dim_M(w - eq.weight)) for w in range(eq.weight, k_max + 1, 2)]
+        assert list(report.dims) == [(w, d) for w, d in expected if d]
 
 
 def test_free_basis_zero_components_keep_the_lattice():
@@ -223,6 +231,16 @@ def test_free_basis_every_twelfth_root_set():
             series = ps_cyclic(eq.weight, p)
             weights = range(eq.weight, k_max + 1)
             assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in weights if ps_coefficient(series, w)]
+            # a proper sub-tower F, ..., D^(r-1)F is free: each r x r minor of its leading
+            # coefficients is the Vandermonde product over its columns
+            for r in range(1, p):
+                for cols in combinations(range(p), r):
+                    leading = [[[g.components[j].coefficient(ms[j])] for j in cols] for g in generators[:r]]
+                    assert leibniz_series(leading, 1) == [prod(ms[b] - ms[a] for a, b in combinations(cols, 2))]
+                sub = free_basis_verify(generators[:r], k_max, n)
+                assert sub.ok and sub.rank == r and not sub.spans
+                series = ps_from_weights([g.weight for g in generators[:r]])
+                assert list(sub.dims) == [(w, ps_coefficient(series, w)) for w in weights if ps_coefficient(series, w)]
             base = generators[0]
             if p > 1:
                 big = VVMF.make(base.weight, base.rep, [f.scale(12**40) for f in base.components])
@@ -273,14 +291,22 @@ def test_det_series_matches_leibniz():
     rng = random.Random(14)
     for _ in range(300):
         p, n = rng.randint(1, 5), rng.randint(1, 4)
+        r = rng.randint(1, p + 1)
         cells = [
             [[rng.choice((0, 0, rng.randint(-2**70, 2**70))) for _ in range(n)] for _ in range(p)]
-            for _ in range(p)
+            for _ in range(r)
         ]
-        assert _det_series(cells, n) == leibniz_series(cells, n)
+        minors = _det_series(cells, n)
+        if r > p:
+            assert minors == {}
+            continue
+        for cols in combinations(range(p), r):
+            want = leibniz_series([[row[j] for j in cols] for row in cells], n)
+            assert minors.get(sum(1 << j for j in cols), [0] * n) == want
+        assert set(minors) <= {sum(1 << j for j in cols) for cols in combinations(range(p), r)}
     # a singular matrix whose entries are all nonzero: row 2 is twice row 1
     cells = [[[1, 2], [3, 4]], [[2, 4], [6, 8]]]
-    assert _det_series(cells, 2) == [0, 0]
+    assert _det_series(cells, 2)[0b11] == [0, 0]
 
 
 def test_free_basis_spans_only_for_a_basis(cyclic_system):
@@ -308,16 +334,18 @@ def test_free_basis_spans_only_for_a_basis(cyclic_system):
 
 
 def test_free_basis_short_truncation_is_not_dependent():
-    # F and Delta^3 DF are independent (det F = c eta^92 leads at q^(23/6)); normalized,
-    # Delta^3 DF is known through N - 3 terms only, which once made F's own multiples
-    # look dependent at weights 16 (N 3) and 28 (N 4)
+    # F and Delta^3 DF are independent (det F = c eta^92 leads at q^(23/6)).  Normalized,
+    # Delta^3 DF holds only N - 3 terms, but from q^3 and q^(23/6), so each slot is known
+    # N terms past its lowest exponent and det F is proved nonzero from N 3 on; one depth
+    # of N - 3 for all slots once made F's multiples look dependent at weights 16 (N 3)
+    # and 28 (N 4).  At N 2 the lift is zero through q^2 and nothing is decided
     eq = mlde_from_exponents([0, F(5, 6)])
-    for n in (3, 4, 5, 6, 8):
+    for n in (2, 3, 4, 5, 6, 8):
         base = fundamental_system(eq, n)
         cube = delta(n) * delta(n) * delta(n)
         lifted = module_action(cube, 36, serre_vvmf(base))
         top = VVMF.make(42, lifted.rep, [f.normalized() for f in lifted.components])
-        if n < 6:
+        if n < 3:
             with pytest.raises(InsufficientTruncation):
                 free_basis_verify([base, top], 50, n)
             continue
