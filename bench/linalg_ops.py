@@ -2,32 +2,30 @@
 
     PYTHONPATH=src python3 bench/linalg_ops.py > timings.json
 
-Uses only the public API, so the same script times any two source trees
-(point PYTHONPATH at each).  For every truncation N in ``SIZES`` it times
-``linalg.rank`` on the matrices that ``free_basis_verify`` builds and
-``from_qexpansion`` on series of large weight:
+Point PYTHONPATH at any source tree to time it.  For every truncation N in
+``SIZES`` it times ``linalg.rank`` on matrices that ``free_basis_verify``
+builds and ``from_qexpansion`` on series of large weight:
 
-* ``rank``, family ``free``: the rows of weight 60 for the generators F, DF
-  of the (0, 5/6) fundamental system (the members F Q^u R^v of weight 60
-  and DF Q^u R^v, one row of 2(N + 1) ints each: slot j holds the
-  coefficients times the lcm of slot j's denominators over all
-  generators); family ``dependent``: the same rows for F and Q F, whose
-  rank falls short by the overlap of their multiples.  ``free_basis_verify``
-  now decides a free set from its minors and ranks only a dependent one,
-  so the ``free`` rows (and the ``third`` ones below) time rank on
-  matrices the library no longer builds;
+* ``rank``, family ``dependent``: the rows of weight 60 for F and Q F of
+  the (0, 5/6) fundamental system (the members F Q^u R^v and Q F Q^u R^v of
+  weight 60, one row of 2(N + 1) ints each: slot j holds the coefficients
+  times the lcm of slot j's denominators over all generators), whose rank
+  falls short by the overlap of their multiples;
 * ``from_qexpansion``, families ``M40`` and ``M120``: the series through
   q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of M_w, for w = 40
   and 120, mapped back to that element (shape: N + 1 checked coefficients
   by dim M_w).
 
-At N 128 only, family ``third`` times ``rank`` on the rows of weight 39 for
-F, DF, D^2F of the (0, 1/12, 2/12) system (k_0 = -1, so every member has
-odd weight, and 39 is the top one of ``free_basis_verify`` at k_max 40).
-Its slots carry large common factors, which the column-gcd pass of
-``rank`` takes out.  It also times criterion 9,
-``free_basis_verify([F, DF], 60, 64)``.  Every time is the median of runs
-repeated until about 0.5 s has been spent (at least 3, at most 200).
+At one N each, family ``delta3`` (N 64) and ``delta4`` (N 128) time the
+dependent sweep of ``free_basis_verify``: [F, DF, Delta^3 F] for
+(0, 1/12, 2/12), which raises DependentGenerators(35), and [F, Delta^4 F]
+for (0, 5/6), which raises DependentGenerators(52).  Op ``rank`` ranks
+every matrix of the sweep, one per weight up to the dependent one; op
+``echelon`` does the same without the column-gcd pass of ``rank`` (the
+private ``linalg._echelon`` on copies); op ``free_basis_verify`` times the
+whole call.  It also times criterion 9, ``free_basis_verify([F, DF], 60,
+64)``.  Every time is the median of runs repeated until about 0.5 s has
+been spent (at least 3, at most 200).
 """
 
 from __future__ import annotations
@@ -40,15 +38,20 @@ import sys
 import time
 from fractions import Fraction
 
-from modforms.classical import PolynomialQR, eisenstein, from_qexpansion, monomial_basis, to_qexpansion
-from modforms.linalg import rank
+from modforms.classical import PolynomialQR, eisenstein, eta_power, from_qexpansion, monomial_basis, to_qexpansion
+from modforms.errors import DependentGenerators
+from modforms.linalg import _echelon, rank
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import free_basis_verify
 from modforms.vvmf import module_action, serre_vvmf
 
 SIZES = (64, 128, 256, 512)
 WEIGHT = 60
-THIRD_N, THIRD_WEIGHT = 128, 39
+#: N -> (family, exponents, length of the tower prefix F, DF, ..., power j of Delta^j F, dependent weight)
+SWEEPS = {
+    64: ("delta3", [0, Fraction(1, 12), Fraction(2, 12)], 2, 3, 35),
+    128: ("delta4", [0, Fraction(5, 6)], 1, 4, 52),
+}
 
 
 def median_time(fn, budget=0.5):
@@ -97,16 +100,37 @@ def weight_form(w, n):
     return m, to_qexpansion(m, n)
 
 
+def sweep(n):
+    """The generators of the dependent sweep at N n, its dependent weight, and the matrix of every weight up to it."""
+    family, exponents, prefix, power, dependent = SWEEPS[n]
+    gens = tower(exponents, n)[:prefix]
+    gens.append(module_action(eta_power(24 * power, n), 12 * power, gens[0]))  # Delta = eta^24
+    low = min(g.weight for g in gens)
+    mats = [m for m in (weight_rows(gens, w, n) for w in range(low, dependent + 1)) if m]
+    assert [rank(m) < len(m) for m in mats] == [False] * (len(mats) - 1) + [True], family
+    return family, gens, dependent, mats
+
+
+def verify_dependent(gens, dependent, n):
+    try:
+        free_basis_verify(gens, dependent, n)
+    except DependentGenerators as err:
+        assert err.weight == dependent, err
+    else:
+        raise AssertionError("the sweep must raise DependentGenerators")
+
+
 def cases(n):
-    free = tower([0, Fraction(5, 6)], n)
-    families = [("free", free, WEIGHT), ("dependent", [free[0], module_action(eisenstein("Q", n), 4, free[0])], WEIGHT)]
-    if n == THIRD_N:
-        families.append(("third", tower([0, Fraction(1, 12), Fraction(2, 12)], n), THIRD_WEIGHT))
-    for family, gens, w in families:
-        rows = weight_rows(gens, w, n)
-        got = rank(rows)
-        assert got < len(rows) if family == "dependent" else got == len(rows), (family, got)
-        yield "rank", family, f"{len(rows)}x{len(rows[0])}", lambda rows=rows: rank(rows)
+    f = fundamental_system(mlde_from_exponents([0, Fraction(5, 6)]), n)
+    rows = weight_rows([f, module_action(eisenstein("Q", n), 4, f)], WEIGHT, n)
+    assert rank(rows) < len(rows)
+    yield "rank", "dependent", f"{len(rows)}x{len(rows[0])}", lambda: rank(rows)
+    if n in SWEEPS:
+        family, gens, dependent, mats = sweep(n)
+        shape = f"{len(mats)} up to {max(map(len, mats))}x{len(mats[0][0])}"
+        yield "rank", family, shape, lambda: [rank(m) for m in mats]
+        yield "echelon", family, shape, lambda: [_echelon([list(r) for r in m]) for m in mats]
+        yield "free_basis_verify", family, shape, lambda: verify_dependent(gens, dependent, n)
     for w in (40, 120):
         m, f = weight_form(w, n)
         assert from_qexpansion(f, w) == m

@@ -1,7 +1,6 @@
 """Exact q-expansions, MLDEs, and M-module structure for SL(2,Z) forms."""
 
 from .classical import (
-    EtaPower,
     PolynomialQR,
     delta,
     dim_M,
@@ -50,7 +49,6 @@ from .qseries import DEFAULT_TERMS, QExpansion
 from .skew import SkewPolynomial, d
 from .structure import (
     FreeBasisReport,
-    FundamentalWeights,
     PoincareSeries,
     TwoDimClass,
     all_2dim_classes,

@@ -212,24 +212,6 @@ class PolynomialQR:
         return PolynomialQR(self.weight, tuple((k, c * x) for k, x in self.coords))
 
 
-@dataclass(frozen=True)
-class EtaPower:
-    """The form eta^h; weight h/2, leading q-exponent h/24."""
-
-    h: int
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(self.h, 2)
-
-    @property
-    def leading_exponent(self) -> Fraction:
-        return Fraction(self.h, 24)
-
-    def to_qexpansion(self, terms: int = DEFAULT_TERMS) -> QExpansion:
-        return eta_power(self.h, terms)
-
-
 def to_qexpansion(m: PolynomialQR, terms: int = DEFAULT_TERMS) -> QExpansion:
     """Substitute the Eisenstein expansions for Q and R: a sum of `_monomial` rows over one lcm."""
     den = math.lcm(*(c.denominator for _, c in m.coords))

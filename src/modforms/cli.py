@@ -13,20 +13,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import classical, mlde, serialize, structure, vvmf
 from .errors import ModformError
 from .qseries import DEFAULT_TERMS, QExpansion
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    terms: int
-    tolerance: float
-    format: str
 
 
 def _env_terms() -> int:
@@ -65,11 +57,6 @@ def _add_common(sub, tol: bool = False):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     if tol:
         sub.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="numeric tolerance")
-
-
-def _config(args) -> CliConfig:
-    terms = _env_terms() if args.terms is None else args.terms
-    return CliConfig(terms, getattr(args, "tol", 1e-6), args.format)
 
 
 def _fraction(text: str) -> Fraction:
@@ -116,8 +103,8 @@ def _resolve_mlde(spec: str) -> mlde.MLDE:
     return _read_document(spec, serialize.mlde_from_json)
 
 
-def _emit(doc: dict, text: str | None, cfg: CliConfig) -> int:
-    if cfg.format == "text" and text is not None:
+def _emit(doc: dict, text: str | None, fmt: str) -> int:
+    if fmt == "text" and text is not None:
         print(text)
     else:
         sys.stdout.write(serialize.dumps(doc))
@@ -127,20 +114,17 @@ def _emit(doc: dict, text: str | None, cfg: CliConfig) -> int:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_qexp(args) -> int:
-    cfg = _config(args)
-    f = _named_form(args.form, cfg.terms)
-    return _emit(serialize.qexpansion_to_json(f), str(f), cfg)
+    f = _named_form(args.form, args.terms)
+    return _emit(serialize.qexpansion_to_json(f), str(f), args.format)
 
 
 def _cmd_serre(args) -> int:
-    cfg = _config(args)
-    f = _named_form(args.form, cfg.terms)
-    out = classical.serre_derivative(f, _fraction(args.weight), cfg.terms)
-    return _emit(serialize.qexpansion_to_json(out), str(out), cfg)
+    f = _named_form(args.form, args.terms)
+    out = classical.serre_derivative(f, _fraction(args.weight), args.terms)
+    return _emit(serialize.qexpansion_to_json(out), str(out), args.format)
 
 
 def _cmd_mlde_solve(args) -> int:
-    cfg = _config(args)
     if args.exponents:
         equation = mlde.mlde_from_exponents(_parse_fractions(args.exponents))
     elif args.coeffs:
@@ -153,7 +137,7 @@ def _cmd_mlde_solve(args) -> int:
     else:
         raise ModformError("need --exponents or --weight with --coeffs")
     ind = mlde.indicial_polynomial(equation)
-    system = mlde.fundamental_system(equation, cfg.terms)
+    system = mlde.fundamental_system(equation, args.terms)
     doc = {
         "k0": equation.weight,
         "order": equation.order,
@@ -166,16 +150,15 @@ def _cmd_mlde_solve(args) -> int:
         [f"k0 = {equation.weight}, order {equation.order}"]
         + [f"f_{j} = {f}" for j, f in enumerate(system.components, start=1)]
     )
-    return _emit(doc, text, cfg)
+    return _emit(doc, text, args.format)
 
 
 def _cmd_monodromy(args) -> int:
-    cfg = _config(args)
     equation = _resolve_mlde(args.mlde)
-    system = mlde.fundamental_system(equation, cfg.terms)
+    system = mlde.fundamental_system(equation, args.terms)
     rho = vvmf.recover_rho_S(system)
     rep = system.rep.with_rho_S(rho)
-    report = vvmf.check_relations(rep, cfg.tolerance)
+    report = vvmf.check_relations(rep, args.tol)
     doc = {
         "k0": equation.weight,
         "exponents": [serialize.fraction_to_json(m) for m in rep.exponents],
@@ -188,11 +171,10 @@ def _cmd_monodromy(args) -> int:
     lines.append(f"rho(S)^2 = {report.sign:+d} I (residual {report.s_squared_residual:.2e})")
     lines.append(f"(rho(S)rho(T))^3 residual {report.braid_residual:.2e}")
     text = "\n".join(lines)
-    return _emit(doc, text, cfg)
+    return _emit(doc, text, args.format)
 
 
 def _cmd_classify2d(args) -> int:
-    cfg = _config(args)
     cls = structure.classify_2dim(args.a, args.b)
     doc = serialize.twodim_to_json(cls)
     if cls.kind == "cyclic":
@@ -200,13 +182,12 @@ def _cmd_classify2d(args) -> int:
         doc["coker_poly"] = {str(e): c for e, c in sorted(coker.items())}
     text = (
         f"({cls.a}, {cls.b}): {cls.kind}, k0 = {cls.k0}, "
-        f"weights {list(cls.weights.weights)}, coker weight {cls.coker_weight}"
+        f"weights {list(cls.weights)}, coker weight {cls.coker_weight}"
     )
-    return _emit(doc, text, cfg)
+    return _emit(doc, text, args.format)
 
 
 def _cmd_poincare(args) -> int:
-    cfg = _config(args)
     if args.weights:
         ps = structure.ps_from_weights(_parse_integers(args.weights))
     elif args.cyclic:
@@ -221,21 +202,20 @@ def _cmd_poincare(args) -> int:
         doc["coefficients"] = {
             str(w): structure.ps_coefficient(ps, w) for w in range(args.upto + 1)
         }
-    return _emit(doc, str(ps), cfg)
+    return _emit(doc, str(ps), args.format)
 
 
 def _cmd_verify_basis(args) -> int:
-    cfg = _config(args)
     equation = _resolve_mlde(args.mlde)
-    system = mlde.fundamental_system(equation, cfg.terms)
+    system = mlde.fundamental_system(equation, args.terms)
     generators = [system]
     for _ in range(1, equation.order):
         generators.append(vvmf.serre_vvmf(generators[-1]))
-    report = structure.free_basis_verify(generators, args.kmax, cfg.terms)
+    report = structure.free_basis_verify(generators, args.kmax, args.terms)
     doc = serialize.free_basis_to_json(report)
     doc["k0"] = equation.weight
     doc["generator_weights"] = [g.weight for g in generators]
-    return _emit(doc, report.message, cfg)
+    return _emit(doc, report.message, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +276,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.terms is None:
+            args.terms = _env_terms()
         return args.handler(args)
     except ModformError as err:
         sys.stderr.write(

@@ -1,22 +1,28 @@
 """JSON encoding with exact rationals as "num/den" strings, never floats.
 
-Round trips are byte-stable: encoding, decoding, and re-encoding reproduces
-the same document.  Series coefficients are always exact rationals; complex
-numbers appear only in monodromy matrices, as [re, im] pairs.  Decoders
-read rationals as strings, ints or Fractions and integer fields as exact
-integers: a JSON float or bool raises TypeError instead of being rounded.
+Series, polynomials and MLDEs decode as well as encode, and their round
+trips are byte-stable: encoding, decoding, and re-encoding reproduces the
+same document.  Every other document is output only.  Series coefficients
+are always exact rationals; complex numbers appear only in monodromy
+matrices, as [re, im] pairs.  Decoders read rationals as strings, ints or
+Fractions and integer fields as exact integers: a JSON float or bool raises
+TypeError instead of being rounded.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .classical import PolynomialQR
-from .mlde import MLDE, IndicialData
+from .mlde import MLDE
 from .qseries import QExpansion, _coerce
-from .structure import FreeBasisReport, PoincareSeries, TwoDimClass
-from .vvmf import VVMF, RelationReport, RepData
+
+if TYPE_CHECKING:
+    from .mlde import IndicialData
+    from .structure import FreeBasisReport, PoincareSeries, TwoDimClass
+    from .vvmf import VVMF, RelationReport, RepData
 
 
 def fraction_to_json(x) -> str:
@@ -104,30 +110,11 @@ def vvmf_to_json(form: VVMF) -> dict:
     }
 
 
-def matrix_from_json(rows) -> list:
-    return [[complex(re, im) for re, im in row] for row in rows]
-
-
-def vvmf_from_json(doc: dict) -> VVMF:
-    rep_doc = doc["rep"]
-    rho_S = rep_doc.get("rho_S")
-    rep = RepData.make(
-        [_coerce(m) for m in rep_doc["exponents"]], matrix_from_json(rho_S) if rho_S is not None else None
-    )
-    return VVMF.make(
-        _integer(doc["weight"]), rep, [qexpansion_from_json(c) for c in doc["components"]]
-    )
-
-
 def poincare_to_json(ps: PoincareSeries) -> dict:
     return {
         "numerator": {str(e): c for e, c in ps.numerator},
         "denominator": "(1-t^4)*(1-t^6)",
     }
-
-
-def poincare_from_json(doc: dict) -> PoincareSeries:
-    return PoincareSeries.make({_integer(e): _integer(c) for e, c in doc["numerator"].items()})
 
 
 def twodim_to_json(cls: TwoDimClass) -> dict:
@@ -136,7 +123,7 @@ def twodim_to_json(cls: TwoDimClass) -> dict:
         "b": cls.b,
         "kind": cls.kind,
         "k0": cls.k0,
-        "weights": list(cls.weights.weights),
+        "weights": list(cls.weights),
         "coker_weight": cls.coker_weight,
     }
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
-from .classical import EtaPower, _collect, _monomial, dim_M, monomial_basis
-from .errors import DependentGenerators, InsufficientTruncation, NotIndecomposable, OutOfRange
+from .classical import _collect, _monomial, dim_M, monomial_basis
+from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange
 from .qseries import _int_product
 from .vvmf import VVMF, validate
 
@@ -66,30 +66,13 @@ class PoincareSeries:
         return f"({' + '.join(parts)})/((1-t^4)*(1-t^6))"
 
 
-@dataclass(frozen=True)
-class FundamentalWeights:
-    """The multiset of weights of a free generating set."""
-
-    weights: tuple
-
-    @staticmethod
-    def make(weights) -> FundamentalWeights:
-        return FundamentalWeights(tuple(sorted(int(w) for w in weights)))
-
-    @property
-    def p(self) -> int:
-        return len(self.weights)
-
-
-def _weight_list(weights):
-    if isinstance(weights, FundamentalWeights):
-        return list(weights.weights)
-    return [int(w) for w in weights]
-
-
 def ps_from_weights(weights) -> PoincareSeries:
     """Series of a free module with the given generator weight multiset."""
-    return PoincareSeries(_collect((e, 1) for e in _weight_list(weights)))
+    weights = list(weights)
+    for w in weights:
+        if Fraction(w).denominator != 1:
+            raise NonIntegralWeight(f"generator weight {w} is not an integer")
+    return PoincareSeries(_collect((int(w), 1) for w in weights))
 
 
 def ps_cyclic(k0: int, p: int) -> PoincareSeries:
@@ -116,10 +99,10 @@ def ps_coefficient(ps: PoincareSeries, w: int) -> int:
 
 
 def character_module(k0: int):
-    """Generator and series of the rank-1 module for the character chi^{k0}."""
+    """(h, series) of the rank-1 module for the character chi^{k0}, generated by eta^h."""
     if not 0 <= k0 <= 11:
         raise OutOfRange(f"character exponent {k0} outside 0..11")
-    return EtaPower(2 * k0), PoincareSeries.make({k0: 1})
+    return 2 * k0, PoincareSeries.make({k0: 1})
 
 
 @dataclass(frozen=True)
@@ -128,7 +111,7 @@ class TwoDimClass:
     b: int
     kind: str  # "split" | "cyclic"
     k0: int
-    weights: FundamentalWeights
+    weights: tuple  # sorted fundamental weights
     coker_weight: int | None
 
 
@@ -147,10 +130,10 @@ def classify_2dim(a: int, b: int) -> TwoDimClass:
     if (a - b) % 12 not in (2, 10):
         raise NotIndecomposable(f"eigenvalue ratio for ({a}, {b}) is not a primitive sixth root")
     if b - a in (2, 10):
-        return TwoDimClass(a, b, "split", min(a, b), FundamentalWeights.make((a, b)), None)
+        return TwoDimClass(a, b, "split", a, (a, b), None)
     k0 = (a + b) // 2 - 1
     coker = b if a - b == 10 else None
-    return TwoDimClass(a, b, "cyclic", k0, FundamentalWeights.make((k0, k0 + 2)), coker)
+    return TwoDimClass(a, b, "cyclic", k0, (k0, k0 + 2), coker)
 
 
 def all_2dim_classes():

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modforms.classical import (
-    EtaPower,
     PolynomialQR,
     _monomial,
     _theta_form,
@@ -181,13 +180,6 @@ def test_serre_derivative_poly_leibniz():
     lhs = serre_derivative_poly(q * r)
     rhs = serre_derivative_poly(q) * r + q * serre_derivative_poly(r)
     assert (lhs - rhs).is_zero
-
-
-def test_eta_power_type():
-    e = EtaPower(10)
-    assert e.weight == 5
-    assert e.leading_exponent == F(5, 12)
-    assert e.to_qexpansion(12) == eta_power(10, 12)
 
 
 def test_theta_form_is_immutable():

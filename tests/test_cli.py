@@ -46,6 +46,39 @@ def test_text_format(capsys):
     assert capsys.readouterr().out.strip() == "(t^4 + t^6)/((1-t^4)*(1-t^6))"
 
 
+TEXT = [
+    (["qexp", "--form", "Q", "--terms", "3"], ["1 + 240*q + 2160*q^(2) + 6720*q^(3) + O(q^(4))"]),
+    (["serre", "--form", "delta", "--weight", "12", "--terms", "3"], ["0 + O(q^(4))"]),
+    (
+        ["mlde", "solve", "--exponents", "0,5/6", "--terms", "3"],
+        [
+            "k0 = 4, order 2",
+            "f_1 = 1 + 240*q + 2160*q^(2) + 6720*q^(3) + O(q^(4))",
+            "f_2 = 1*q^(5/6) + 140/11*q^(11/6) + 7670/187*q^(17/6) + 517720/4301*q^(23/6) + O(q^(29/6))",
+        ],
+    ),
+    # the residual lines print floats, so only their stable prefixes are pinned
+    (
+        ["monodromy", "--mlde", "1/12", "--terms", "40", "--tol", "1e-3"],
+        ["rho(S) for k0 = 1:", "  0.000000-1.000000j", "rho(S)^2 = -1 I (residual ", "(rho(S)rho(T))^3 residual "],
+    ),
+    (["classify2d", "--a", "0", "--b", "2"], ["(0, 2): split, k0 = 0, weights [0, 2], coker weight None"]),
+    (
+        ["verify-basis", "--mlde", "0,5/6", "--kmax", "16", "--terms", "32"],
+        ["free of rank 2: det F is nonzero at q^(5/6); a basis of H(rho)"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,lines", TEXT, ids=["qexp", "serre", "mlde_solve", "monodromy", "classify2d", "verify_basis"])
+def test_text_format_every_command(capsys, argv, lines):
+    assert main(argv + ["--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(lines)
+    for got, want in zip(out, lines):
+        assert got.startswith(want) if want.endswith(" ") else got == want
+
+
 def test_classify2d_json_keys(capsys):
     main(["classify2d", "--a", "10", "--b", "0"])
     doc = json.loads(capsys.readouterr().out)

@@ -9,13 +9,13 @@ from modforms.classical import dim_M, eisenstein, delta, eta_power
 from modforms.errors import (
     DependentGenerators,
     InsufficientTruncation,
+    NonIntegralWeight,
     NotIndecomposable,
     OutOfRange,
 )
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import (
     _det_series,
-    FundamentalWeights,
     PoincareSeries,
     all_2dim_classes,
     character_module,
@@ -45,7 +45,16 @@ def test_ps_from_weights():
     assert ps_from_weights([4, 6]).numerator == ((4, 1), (6, 1))
     assert ps_from_weights([5]).numerator == ((5, 1),)
     assert ps_from_weights([4, 4]).numerator == ((4, 2),)
-    assert ps_from_weights(FundamentalWeights.make([6, 4])).numerator == ((4, 1), (6, 1))
+    assert ps_from_weights((w for w in (6, 4))).numerator == ((4, 1), (6, 1))
+    # a weight is never rounded to an integer
+    for weights in ([F(5, 2), 4.7], [4, F(9, 2)], [4.5]):
+        with pytest.raises(NonIntegralWeight):
+            ps_from_weights(weights)
+    assert ps_from_weights([F(4), 6.0]).numerator == ((4, 1), (6, 1))
+    # free_basis_verify reaches it with a form of half-integral weight (eta^5, weight 5/2)
+    half = VVMF.make(F(5, 2), RepData.make([F(5, 24)]), [eta_power(5, 12)])
+    with pytest.raises(NonIntegralWeight):
+        free_basis_verify([half], 20, 12)
 
 
 def test_ps_cyclic():
@@ -74,10 +83,11 @@ def test_ps_coefficient():
 
 
 def test_character_module():
-    gen, ps = character_module(0)
-    assert gen.h == 0 and ps == ps_from_weights([0])
-    gen, ps = character_module(5)
-    assert gen.h == 10 and ps.numerator == ((5, 1),)
+    assert character_module(0) == (0, ps_from_weights([0]))
+    h, ps = character_module(5)
+    assert h == 10 and ps.numerator == ((5, 1),)
+    # the generator eta^h has weight h/2 = 5 and leads at q^(h/24) = q^(5/12)
+    assert eta_power(h, 12).leading == F(5, 12)
     with pytest.raises(OutOfRange):
         character_module(12)
     with pytest.raises(OutOfRange):
@@ -87,11 +97,11 @@ def test_character_module():
 def test_classify_examples():
     cls = classify_2dim(10, 0)
     assert cls.kind == "cyclic" and cls.k0 == 4 and cls.coker_weight == 0
-    assert cls.weights.weights == (4, 6)
+    assert cls.weights == (4, 6)
     cls = classify_2dim(11, 9)
     assert cls.kind == "cyclic" and cls.k0 == 9 and cls.coker_weight is None
     cls = classify_2dim(0, 2)
-    assert cls.kind == "split" and cls.weights.weights == (0, 2) and cls.k0 == 0
+    assert cls.kind == "split" and cls.weights == (0, 2) and cls.k0 == 0
 
 
 def test_classify_rejections():
