@@ -3,18 +3,10 @@
     PYTHONPATH=src python3 bench/linalg_ops.py > timings.json
 
 Point PYTHONPATH at any source tree to time it.  For every truncation N in
-``SIZES`` it times ``linalg.rank`` on matrices that ``free_basis_verify``
-builds and ``from_qexpansion`` on series of large weight:
-
-* ``rank``, family ``dependent``: the rows of weight 60 for F and Q F of
-  the (0, 5/6) fundamental system (the members F Q^u R^v and Q F Q^u R^v of
-  weight 60, one row of 2(N + 1) ints each: slot j holds the coefficients
-  times the lcm of slot j's denominators over all generators), whose rank
-  falls short by the overlap of their multiples;
-* ``from_qexpansion``, families ``M40`` and ``M120``: the series through
-  q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of M_w, for w = 40
-  and 120, mapped back to that element (shape: N + 1 checked coefficients
-  by dim M_w).
+``SIZES`` it times ``from_qexpansion``, families ``M40`` and ``M120``: the
+series through q^N of sum Q^u R^v / (1 + u + 2v) over every monomial of
+M_w, for w = 40 and 120, mapped back to that element (shape: N + 1 checked
+coefficients by dim M_w).
 
 At one N each, family ``delta3`` (N 64) and ``delta4`` (N 128) time the
 dependent sweep of ``free_basis_verify``: [F, DF, Delta^3 F] for
@@ -38,7 +30,7 @@ import sys
 import time
 from fractions import Fraction
 
-from modforms.classical import PolynomialQR, eisenstein, eta_power, from_qexpansion, monomial_basis, to_qexpansion
+from modforms.classical import PolynomialQR, eta_power, from_qexpansion, monomial_basis, to_qexpansion
 from modforms.errors import DependentGenerators
 from modforms.linalg import _echelon, rank
 from modforms.mlde import fundamental_system, mlde_from_exponents
@@ -46,7 +38,6 @@ from modforms.structure import free_basis_verify
 from modforms.vvmf import module_action, serre_vvmf
 
 SIZES = (64, 128, 256, 512)
-WEIGHT = 60
 #: N -> (family, exponents, length of the tower prefix F, DF, ..., power j of Delta^j F, dependent weight)
 SWEEPS = {
     64: ("delta3", [0, Fraction(1, 12), Fraction(2, 12)], 2, 3, 35),
@@ -121,10 +112,6 @@ def verify_dependent(gens, dependent, n):
 
 
 def cases(n):
-    f = fundamental_system(mlde_from_exponents([0, Fraction(5, 6)]), n)
-    rows = weight_rows([f, module_action(eisenstein("Q", n), 4, f)], WEIGHT, n)
-    assert rank(rows) < len(rows)
-    yield "rank", "dependent", f"{len(rows)}x{len(rows[0])}", lambda: rank(rows)
     if n in SWEEPS:
         family, gens, dependent, mats = sweep(n)
         shape = f"{len(mats)} up to {max(map(len, mats))}x{len(mats[0][0])}"

@@ -103,7 +103,7 @@ def _resolve_mlde(spec: str) -> mlde.MLDE:
     return _read_document(spec, serialize.mlde_from_json)
 
 
-def _emit(doc: dict, text: str | None, fmt: str) -> int:
+def _emit(doc, text: str | None, fmt: str) -> int:
     if fmt == "text" and text is not None:
         print(text)
     else:
@@ -115,13 +115,13 @@ def _emit(doc: dict, text: str | None, fmt: str) -> int:
 
 def _cmd_qexp(args) -> int:
     f = _named_form(args.form, args.terms)
-    return _emit(serialize.qexpansion_to_json(f), str(f), args.format)
+    return _emit(f, str(f), args.format)
 
 
 def _cmd_serre(args) -> int:
     f = _named_form(args.form, args.terms)
     out = classical.serre_derivative(f, _fraction(args.weight), args.terms)
-    return _emit(serialize.qexpansion_to_json(out), str(out), args.format)
+    return _emit(out, str(out), args.format)
 
 
 def _cmd_mlde_solve(args) -> int:
@@ -141,10 +141,10 @@ def _cmd_mlde_solve(args) -> int:
     doc = {
         "k0": equation.weight,
         "order": equation.order,
-        "mlde": serialize.mlde_to_json(equation),
-        "indicial": serialize.indicial_to_json(ind),
+        "mlde": equation,
+        "indicial": ind,
         "weight_relation": mlde.weight_relation_check(equation.weight, ind.roots),
-        "solutions": serialize.vvmf_to_json(system),
+        "solutions": system,
     }
     text = "\n".join(
         [f"k0 = {equation.weight}, order {equation.order}"]
@@ -161,9 +161,9 @@ def _cmd_monodromy(args) -> int:
     report = vvmf.check_relations(rep, args.tol)
     doc = {
         "k0": equation.weight,
-        "exponents": [serialize.fraction_to_json(m) for m in rep.exponents],
-        "rho_S": serialize.matrix_to_json(rho),
-        "relations": serialize.relation_to_json(report),
+        "exponents": rep.exponents,
+        "rho_S": rep.rho_S,
+        "relations": report,
     }
     lines = [f"rho(S) for k0 = {equation.weight}:"]
     for row in rho:
@@ -176,7 +176,7 @@ def _cmd_monodromy(args) -> int:
 
 def _cmd_classify2d(args) -> int:
     cls = structure.classify_2dim(args.a, args.b)
-    doc = serialize.twodim_to_json(cls)
+    doc = serialize.to_json(cls)
     if cls.kind == "cyclic":
         coker = structure.coker_ps_difference(cls)
         doc["coker_poly"] = {str(e): c for e, c in sorted(coker.items())}
@@ -197,7 +197,7 @@ def _cmd_poincare(args) -> int:
         ps = structure.ps_cyclic(*values)
     else:
         raise ModformError("need --weights or --cyclic")
-    doc = serialize.poincare_to_json(ps)
+    doc = serialize.to_json(ps)
     if args.upto is not None:
         doc["coefficients"] = {
             str(w): structure.ps_coefficient(ps, w) for w in range(args.upto + 1)
@@ -212,9 +212,11 @@ def _cmd_verify_basis(args) -> int:
     for _ in range(1, equation.order):
         generators.append(vvmf.serre_vvmf(generators[-1]))
     report = structure.free_basis_verify(generators, args.kmax, args.terms)
-    doc = serialize.free_basis_to_json(report)
-    doc["k0"] = equation.weight
-    doc["generator_weights"] = [g.weight for g in generators]
+    doc = {
+        **serialize.to_json(report),
+        "k0": equation.weight,
+        "generator_weights": [g.weight for g in generators],
+    }
     return _emit(doc, report.message, args.format)
 
 

@@ -268,6 +268,8 @@ DOCUMENTS = {
     "float_mlde": json.dumps({"weight": 4, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": -1 / 6}}]}),
     "half_weight": json.dumps({"weight": 4.5, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
     "bool_weight": json.dumps({"weight": True, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
+    "bool_coeffs": json.dumps([{"weight": 4, "coords": {"1,0": True}}]),
+    "bool_mlde": json.dumps({"weight": 4, "order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": True}}]}),
     "no_weight": json.dumps({"order": 2, "coeffs": [{"weight": 4, "coords": {"1,0": "-1/6"}}]}),
     "malformed": "{not json",
     "scalar": "7",
@@ -294,14 +296,16 @@ def documents(tmp_path_factory):
         ["mlde", "solve", "--weight", "4", "--coeffs", "@missing", "--terms", "4"],
         ["mlde", "solve", "--weight", "4", "--coeffs", "@directory", "--terms", "4"],
         ["mlde", "solve", "--weight", "4", "--coeffs", "@float_coeffs", "--terms", "4"],
+        ["mlde", "solve", "--weight", "4", "--coeffs", "@bool_coeffs", "--terms", "4"],
         ["monodromy", "--mlde", "@directory", "--terms", "8"],
         ["monodromy", "--mlde", "@no_weight", "--terms", "8"],
         ["monodromy", "--mlde", "@half_weight", "--terms", "8"],
         ["monodromy", "--mlde", "@bool_weight", "--terms", "8"],
         ["verify-basis", "--mlde", "@float_mlde", "--terms", "8"],
+        ["verify-basis", "--mlde", "@bool_mlde", "--terms", "8"],
     ],
-    ids=["coeffs_missing", "coeffs_directory", "coeffs_float", "mlde_directory", "mlde_no_weight",
-         "mlde_half_weight", "mlde_bool_weight", "mlde_float"],
+    ids=["coeffs_missing", "coeffs_directory", "coeffs_float", "coeffs_bool", "mlde_directory", "mlde_no_weight",
+         "mlde_half_weight", "mlde_bool_weight", "mlde_float", "mlde_bool_coeff"],
 )
 def test_bad_document_is_a_json_error(capsys, documents, argv):
     assert main([documents.get(a, a) for a in argv]) == 1
