@@ -3,6 +3,13 @@
 
 Exit codes: 0 success, 1 domain errors (reported as a structured error
 object on stderr), 2 usage errors.
+
+Only ``qseries``, ``classical``, ``errors`` and ``serialize`` load with this
+module.  Each handler imports the layers it calls at run time: ``mlde``
+(with ``skew``, ``vvmf`` and ``linalg``) for ``mlde solve``, ``monodromy``
+and ``verify-basis``, and ``structure`` (with ``linalg``) for
+``classify2d``, ``poincare`` and ``verify-basis``.  So ``qexp`` and
+``serre`` load neither the MLDE nor the module layers.
 """
 
 from __future__ import annotations
@@ -15,10 +22,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import classical, mlde, serialize, structure, vvmf
+from . import classical, serialize
 from .errors import ModformError
 from .qseries import DEFAULT_TERMS, QExpansion
+
+if TYPE_CHECKING:
+    from .mlde import MLDE
 
 
 def _env_terms() -> int:
@@ -96,8 +107,10 @@ def _named_form(name: str, terms: int) -> QExpansion:
     raise ModformError(f"unknown form {name!r}: use P, Q, R, delta, or eta^h")
 
 
-def _resolve_mlde(spec: str) -> mlde.MLDE:
+def _resolve_mlde(spec: str) -> MLDE:
     """An exponent list like "0,5/6", or a path to an MLDE JSON document."""
+    from . import mlde
+
     if re.fullmatch(r"[\s0-9,/\-]+", spec):
         return mlde.mlde_from_exponents(_parse_fractions(spec))
     return _read_document(spec, serialize.mlde_from_json)
@@ -125,6 +138,10 @@ def _cmd_serre(args) -> int:
 
 
 def _cmd_mlde_solve(args) -> int:
+    if args.exponents is not None and (args.coeffs is not None or args.weight is not None):
+        raise argparse.ArgumentError(None, "--exponents cannot be combined with --coeffs or --weight")
+    from . import mlde
+
     if args.exponents:
         equation = mlde.mlde_from_exponents(_parse_fractions(args.exponents))
     elif args.coeffs:
@@ -154,6 +171,8 @@ def _cmd_mlde_solve(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
+    from . import mlde, vvmf
+
     equation = _resolve_mlde(args.mlde)
     system = mlde.fundamental_system(equation, args.terms)
     rho = vvmf.recover_rho_S(system)
@@ -175,6 +194,8 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_classify2d(args) -> int:
+    from . import structure
+
     cls = structure.classify_2dim(args.a, args.b)
     doc = serialize.to_json(cls)
     if cls.kind == "cyclic":
@@ -188,6 +209,8 @@ def _cmd_classify2d(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    from . import structure
+
     if args.weights:
         ps = structure.ps_from_weights(_parse_integers(args.weights))
     elif args.cyclic:
@@ -206,6 +229,8 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_verify_basis(args) -> int:
+    from . import mlde, structure, vvmf
+
     equation = _resolve_mlde(args.mlde)
     system = mlde.fundamental_system(equation, args.terms)
     generators = [system]
@@ -281,6 +306,8 @@ def main(argv=None) -> int:
         if args.terms is None:
             args.terms = _env_terms()
         return args.handler(args)
+    except argparse.ArgumentError as err:
+        parser.error(str(err))
     except ModformError as err:
         sys.stderr.write(
             serialize.dumps({"error": {"type": type(err).__name__, "message": str(err)}})

@@ -15,8 +15,10 @@ itself and asks ``to_json`` for one level of anything else:
   without that default stays null (``TwoDimClass.coker_weight``);
 - anything else raises TypeError.
 
-A PoincareSeries is recognised by its class's module and name, so this
-module imports neither ``structure`` nor ``vvmf`` at run time.
+At run time this module imports only ``qseries`` and ``classical``.  A
+PoincareSeries is recognised by its class's module and name, and an MLDE is
+encoded by the dataclass rule, so neither ``structure`` nor ``mlde`` is
+needed to encode; ``mlde_from_json`` imports ``mlde`` when it is called.
 
 Three decoders read documents back: ``qexpansion_from_json``,
 ``polynomial_from_json`` and ``mlde_from_json``.  Their round trips are
@@ -31,10 +33,13 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .classical import PolynomialQR
-from .mlde import MLDE
 from .qseries import QExpansion, _coerce
+
+if TYPE_CHECKING:
+    from .mlde import MLDE
 
 _POINCARE = (f"{__package__}.structure", "PoincareSeries")
 
@@ -93,6 +98,8 @@ def polynomial_from_json(doc: dict) -> PolynomialQR:
 
 
 def mlde_from_json(doc: dict) -> MLDE:
+    from .mlde import MLDE
+
     return MLDE.make(
         _integer(doc["weight"]),
         _integer(doc["order"]),

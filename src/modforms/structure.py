@@ -22,12 +22,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .classical import _collect, _monomial, dim_M, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange
 from .qseries import _int_product
-from .vvmf import VVMF, validate
+
+if TYPE_CHECKING:
+    from .vvmf import VVMF
 
 #: Denominator of every series here, as dense ascending coefficients; it is
 #: monic (leading coefficient +1), so `linalg._poly_divmod` divides by it.
@@ -230,6 +233,8 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     claim also rest on the inputs being holomorphic forms for one rho, as
     fundamental systems and their D- and M-images are.
     """
+    from .vvmf import validate  # here, so classify2d and poincare do not load vvmf
+
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")

@@ -95,18 +95,58 @@ def test_monodromy_values(capsys):
     assert doc["relations"]["ok"] and doc["relations"]["sign"] == -1
 
 
+def _fresh_process(child: str) -> str:
+    """The last stdout line of child run in a fresh interpreter, so every import it makes shows in sys.modules."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_monodromy_imports_no_numpy():
-    # a fresh process, so a lazy import anywhere under main() shows in sys.modules
     child = (
         "import sys\nfrom modforms.cli import main\n"
         "code = main(['monodromy', '--mlde', '1/12,5/12,9/12', '--terms', '24'])\n"
         "print(code, 'numpy' in sys.modules)"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert _fresh_process(child) == "0 False"
+
+
+MLDE_LAYERS = ("mlde", "skew", "vvmf")
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["qexp", "--form", "Q"], MLDE_LAYERS + ("structure", "linalg")),
+        (["serre", "--form", "delta", "--weight", "12"], MLDE_LAYERS + ("structure", "linalg")),
+        (["classify2d", "--a", "10", "--b", "0"], MLDE_LAYERS),
+        (["poincare", "--cyclic", "4,2"], MLDE_LAYERS),
+    ],
+    ids=["qexp", "serre", "classify2d", "poincare"],
+)
+def test_command_loads_only_its_layers(argv, unloaded):
+    child = (
+        "import io, sys\nfrom contextlib import redirect_stdout\nfrom modforms.cli import main\n"
+        f"with redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        "print(code, *sorted(sys.modules))"
+    )
+    code, *loaded = _fresh_process(child).split()
+    assert code == "0"
+    assert not {f"modforms.{name}" for name in unloaded} & set(loaded)
+
+
+def test_package_import_is_lazy():
+    # a bare import loads no submodule; the first use of a name loads its home module and caches the name
+    child = (
+        "import sys\nimport modforms\n"
+        "loaded = lambda: ','.join(sorted(m for m in sys.modules if m.startswith('modforms.')))\n"
+        "bare = loaded()\nmodforms.ps_cyclic\n"
+        "print(repr(bare), loaded(), 'ps_cyclic' in vars(modforms))"
+    )
+    structure = "modforms.classical,modforms.errors,modforms.linalg,modforms.qseries,modforms.structure"
+    assert _fresh_process(child) == f"'' {structure} True"
 
 
 def test_domain_error_exit_code(capsys):
@@ -258,6 +298,26 @@ def test_out_of_range_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mlde", "solve", "--exponents", "0,5/6", "--coeffs", "@coeffs", "--weight", "2"],
+        ["mlde", "solve", "--exponents", "0,5/6", "--coeffs", "@coeffs"],
+        ["mlde", "solve", "--exponents", "0,5/6", "--weight", "2"],
+    ],
+    ids=["coeffs_and_weight", "coeffs", "weight"],
+)
+def test_exponents_exclude_coeffs_and_weight(documents, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([documents.get(a, a) for a in argv])
+    assert exc.value.code == 2
+
+
+def test_mlde_solve_needs_an_equation(capsys):
+    assert main(["mlde", "solve"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
 
 
 #: JSON documents for --mlde and --coeffs: name -> file text (None: no file).
