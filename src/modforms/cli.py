@@ -61,10 +61,14 @@ _TERMS = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _TOLERANCE = _checked(float, lambda x: 0 < x < math.inf, "a positive finite number")
 
 
-def _add_common(sub, tol: bool = False):
+def _add_terms(sub):
+    """--terms, for the commands that build series; only these read $MODFORMS_TERMS."""
     sub.add_argument(
         "--terms", type=_TERMS, help=f"truncation order N (default: $MODFORMS_TERMS or {DEFAULT_TERMS})"
     )
+
+
+def _add_common(sub, tol: bool = False):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     if tol:
         sub.add_argument("--tol", type=_TOLERANCE, default=1e-6, help="numeric tolerance")
@@ -254,12 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("qexp", help="print a named classical form")
     sub.add_argument("--form", required=True, help="P, Q, R, delta, or eta^h")
+    _add_terms(sub)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_qexp)
 
     sub = subs.add_parser("serre", help="Serre derivative of a named form")
     sub.add_argument("--form", required=True)
     sub.add_argument("--weight", required=True, help="weight of the form, e.g. 12 or --weight=-1/3")
+    _add_terms(sub)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_serre)
 
@@ -269,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--exponents", help="comma-separated indicial roots, e.g. --exponents=0,5/6")
     solve.add_argument("--weight", type=int, help="k0 with --coeffs, e.g. 4 or --weight=-1")
     solve.add_argument("--coeffs", help="path to a JSON list of g_0..g_{p-2}")
+    _add_terms(solve)
     _add_common(solve)
     solve.set_defaults(handler=_cmd_mlde_solve)
 
     sub = subs.add_parser("monodromy", help="numeric rho(S) of a fundamental system")
     sub.add_argument("--mlde", required=True, help="exponent list or MLDE JSON path")
+    _add_terms(sub)
     _add_common(sub, tol=True)
     sub.set_defaults(handler=_cmd_monodromy)
 
@@ -293,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify-basis", help="desk check that F, DF, ... generate freely")
     sub.add_argument("--mlde", required=True, help="exponent list or MLDE JSON path")
     sub.add_argument("--kmax", type=int, default=40)
+    _add_terms(sub)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_verify_basis)
 
@@ -303,7 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.terms is None:
+        if "terms" in args and args.terms is None:
             args.terms = _env_terms()
         return args.handler(args)
     except argparse.ArgumentError as err:

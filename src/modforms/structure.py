@@ -223,8 +223,11 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
 
     Slot j is known through q^(low_j + depth_j), depth_j the least horizon of
     its components less low_j, capped at n_terms; the minors use the least
-    depth_j.  InsufficientTruncation is raised first when a weight has more
-    candidate multiples than known coefficients.
+    depth_j.  The sweep names a weight w only when every slot is known past
+    the bound at r = 1, low_j + depth_j + 1 > (w + p - 1)/12: there a form of
+    H(rho)_w that vanishes on the known cells is zero, so a rank below the
+    count of multiples is a relation.  At the first weight above that bound
+    it raises InsufficientTruncation.
 
     `spans` is True exactly when F is proved a free basis of H(rho).  By
     the paper that holds iff r = p, K = 12 sum m_j and the coefficient of
@@ -265,13 +268,7 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
         for slot, f, s in zip(slots, column, shifts):
             zeros = depth + 1 if f.is_zero else min(s, depth + 1)
             slot.append((zeros, [x * (den // f.den) for x in f.nums[: depth + 1 - zeros]]))
-    depth, columns = min(depths), sum(depths) + p
-    for w, d in dims:
-        if columns < d:
-            raise InsufficientTruncation(
-                f"weight {w} has {d} candidate multiples but only {columns} "
-                f"known coefficients; raise the truncation above {depth}"
-            )
+    depth = min(depths)
     wedge = "det F" if r == p else " ^ ".join(f"F_{i}" for i in range(1, r + 1))
     weight, low = sum(weights), sum(sorted(lows)[:r])  # the least L_J
     reach = math.floor(Fraction(weight + math.comb(p, r) - 1, 12) - low) if r <= p else -1
@@ -294,8 +291,13 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
             f"{wedge} vanishes through q^({low + depth}) but is decided only at its Sturm "
             f"bound q^({low + reach}); raise the truncation above {depth}"
         )
+    # the largest w with low_j + depth_j + 1 > (w + p - 1)/12 in every slot, in ints
+    limit = min(-(-12 * (x.numerator + (t + 1) * x.denominator) // x.denominator) for x, t in zip(lows, depths)) - p
     deepest = max(*depths, 0)
     for w, d in dims:
+        if w > limit:
+            message = f"{wedge} vanishes; weight {w} needs every slot known past q^(({w} + {p} - 1)/12)"
+            raise InsufficientTruncation(f"{message}; raise the truncation above {depth}")
         rows = []
         for i, g in enumerate(gens):
             gap = w - weights[i]

@@ -124,28 +124,26 @@ def is_essential(form: VVMF, n_terms: int) -> bool:
     """True iff the components are linearly independent over C.
 
     Decided exactly from the coefficient matrix on the union of the component
-    exponent lattices, capped at the smallest nonzero-component horizon so no
-    unknown coefficient is ever treated as zero.  Full rank proves
-    independence.  Rank below p proves dependence only when the grid holds
-    every component through the Sturm bound (pk + p(p - 1))/12 of the
-    Wronskian of a holomorphic form: a nonzero combination vanishing through
-    that exponent would give a nonzero Wronskian of too high cusp order.
-    Below the bound this raises InsufficientTruncation.
+    exponent lattices, capped at the smallest component horizon so no
+    unknown coefficient is ever treated as zero.  A component with no known
+    nonzero coefficient is known only through its horizon, like any other.
+    Full rank proves independence.  Rank below p proves dependence only when
+    the grid holds every component through the Sturm bound (pk + p(p - 1))/12
+    of the Wronskian of a holomorphic form: a nonzero combination vanishing
+    through that exponent would give a nonzero Wronskian of too high cusp
+    order.  Below the bound this raises InsufficientTruncation.
     """
     p = form.p
     if n_terms + 1 < p:
         raise InsufficientTruncation(f"{n_terms + 1} aligned coefficients cannot have rank {p}")
-    live = [f for f in form.components if not f.is_zero]
-    if len(live) < p:
-        return False  # a zero component is dependent outright
-    cap = min(f.horizon for f in live)
-    grid = sorted({f.leading + n for f in live for n in range(n_terms + 1) if f.leading + n <= cap})
+    cap = min(f.horizon for f in form.components)
+    grid = sorted({f.leading + n for f in form.components for n in range(n_terms + 1) if f.leading + n <= cap})
     # f's int numerators on the grid: f.den scales a whole row, which keeps the rank
     cells = [{f.leading + n: x for n, x in enumerate(f.nums)} for f in form.components]
     rows = [[c.get(e, 0) for e in grid] for c in cells]
     if linalg.rank(rows) == p:
         return True
-    top = min(cap, min(f.leading for f in live) + n_terms)  # every component is known through top
+    top = min(cap, min(f.leading for f in form.components) + n_terms)  # every component is known through top
     bound = Fraction(p * form.weight + p * (p - 1), 12)
     if top < bound:
         raise InsufficientTruncation(f"rank below {p} through q^{top}, under the Wronskian bound q^{bound}")

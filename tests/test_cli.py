@@ -215,10 +215,30 @@ def test_monodromy_from_mlde_file(tmp_path, capsys):
     assert out["relations"]["sign"] == 1
 
 
-def test_short_truncation_is_not_a_verdict(capsys):
+def test_short_truncation_is_proved_free(capsys):
+    # 15 multiples of F, DF at weight 88 against 2 * 7 known coefficients: det F decides it
+    from modforms.structure import ps_coefficient, ps_cyclic
+
     argv = ["verify-basis", "--mlde", "0,5/6", "--kmax", "120", "--terms", "6"]
-    assert main(argv) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InsufficientTruncation"
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] and doc["spans"]
+    series = ps_cyclic(4, 2)
+    assert doc["dims"] == [[w, ps_coefficient(series, w)] for w in range(4, 121) if ps_coefficient(series, w)]
+
+
+NO_TERMS = [(argv, golden) for argv, golden in GOLDEN if argv[0] in ("classify2d", "poincare")]
+
+
+@pytest.mark.parametrize("argv,golden", NO_TERMS, ids=[g for _, g in NO_TERMS])
+def test_commands_without_a_truncation_take_no_terms(capsys, monkeypatch, argv, golden):
+    # classify2d and poincare read no truncation, so neither --terms nor MODFORMS_TERMS
+    monkeypatch.setenv("MODFORMS_TERMS", "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (TESTDATA / golden).read_text()
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--terms", "8"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize(

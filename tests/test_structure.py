@@ -277,11 +277,34 @@ def test_free_basis_every_twelfth_root_set():
     assert not is_essential(twice, 5)
 
 
-def test_free_basis_refuses_short_truncation():
-    # weight 88 has 15 candidate multiples of F, DF but only 2 * 7 coefficients
+def test_free_basis_proves_a_short_truncation():
+    # weight 88 has 15 multiples of F, DF and only 2 * 7 known coefficients, but det F is
+    # nonzero at q^(5/6): the generators are proved free, with no rank computed
     system = fundamental_system(mlde_from_exponents([0, F(5, 6)]), 6)
-    with pytest.raises(InsufficientTruncation):
-        free_basis_verify([system, serre_vvmf(system)], 120, 6)
+    report = free_basis_verify([system, serre_vvmf(system)], 120, 6)
+    assert report.ok and report.spans and report.rank == 2
+    series = ps_cyclic(4, 2)
+    assert list(report.dims) == [(w, ps_coefficient(series, w)) for w in range(4, 121) if ps_coefficient(series, w)]
+
+
+def test_free_basis_names_a_weight_only_past_the_bound():
+    # four generators of weights 7, 7, 27, 17 in rank 3 are dependent at any N; at N 1 the
+    # cells determine H(rho)_w only through w = 22, so the rank deficit at 27 names nothing
+    eq = mlde_from_exponents([F(1, 12), F(5, 12), F(9, 12)])
+    for n in range(1, 21):
+        base = fundamental_system(eq, n)
+        gens = [
+            module_action(eisenstein("Q", n), 4, base),
+            serre_vvmf(serre_vvmf(base)),
+            module_action(delta(n) * delta(n), 24, base),
+            module_action(delta(n), 12, serre_vvmf(base)),
+        ]
+        if n == 1:
+            with pytest.raises(InsufficientTruncation):
+                free_basis_verify(gens, 30, n)
+            continue
+        report = free_basis_verify(gens, 30, n)
+        assert not report.ok and not report.spans and "no weight up to 30" in report.message
 
 
 def leibniz_series(cells, n):

@@ -116,6 +116,13 @@ def test_is_essential():
         is_essential(two_dim(), 0)
 
 
+def test_is_essential_of_an_unknown_component_is_no_verdict():
+    # delta(0) knows only its zero constant term; Delta is nonzero at q^1, its Wronskian bound
+    with pytest.raises(InsufficientTruncation):
+        is_essential(VVMF(12, RepData.make([0]), [delta(0)]), 0)
+    assert is_essential(VVMF(12, RepData.make([0]), [delta(1)]), 1)
+
+
 def test_is_essential_below_the_wronskian_bound():
     # E4^6 and E4^6 + Delta^2 agree through q^1; the weight-50 Wronskian bound is q^(50/12)
     e4 = eisenstein("Q", 16)
