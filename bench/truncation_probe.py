@@ -1,6 +1,6 @@
 """Truncation-monotonicity probe: no decision may change as the truncation N grows.
 
-    PYTHONPATH=src python3 bench/truncation_probe.py [--seed S] [--lists L] [--nmax N] > probe.json
+    PYTHONPATH=src python3 bench/truncation_probe.py [--seed S] > probe.json
 
 Truncation is knowledge, so an answer of `free_basis_verify` or `is_essential`
 at N that is not InsufficientTruncation must equal the answer at every
@@ -8,14 +8,14 @@ larger N.  A `from_qexpansion` match and an ok `verify_solution` report
 claim nothing past the checked depth, so for these two only NotInM and
 ok False must persist.
 
-For every exponent set of ``SETS`` the seed draws L generator lists: 1 to
+For every exponent set of ``SETS`` the seed draws 40 generator lists: 1 to
 p + 1 words of length <= 3 in D (`serre_vvmf`), Q, R and Delta (each by
 `module_action`), applied to the fundamental system, and a k_max from the
 largest generator weight to 12 above it.  Each list is one
 `free_basis_verify` case; each word of a list is one `is_essential` case
 and, per component, one `from_qexpansion` case (at the word's weight) and
 one `verify_solution` case (against the set's MLDE).  Every case runs at
-each N from 1 to nmax.  The output is JSON: the seed, the count of cases
+each N from 1 to N_MAX.  The output is JSON: the seed, the count of cases
 and of violations, and each violation with its answers by N.
 """
 
@@ -37,6 +37,7 @@ from modforms.vvmf import is_essential, module_action, serre_vvmf
 SETS = ((0, 1, 2), (0, 10), (6,), (0, 2), (1, 5, 9), (0, 2, 7))
 LETTERS = ("D", "Q", "R", "Delta")
 WEIGHT = {"D": 2, "Q": 4, "R": 6, "Delta": 12}
+N_MAX = 12
 
 
 def draw_lists(rng: random.Random, p: int, count: int):
@@ -89,8 +90,8 @@ def breaks(answers, persistent=None) -> bool:
     return False
 
 
-def probe(seed: int, lists: int, n_max: int) -> dict:
-    """Run every case of the seed at N 1..n_max and collect the violations."""
+def probe(seed: int, lists: int = 40) -> dict:
+    """Run every case of the seed, `lists` generator lists a set, at N 1..N_MAX and collect the violations."""
     rng = random.Random(seed)
     cases, violations = 0, []
     for twelfths in SETS:
@@ -98,7 +99,7 @@ def probe(seed: int, lists: int, n_max: int) -> dict:
         drawn = draw_lists(rng, len(twelfths), lists)
         words = sorted({w for ws, _ in drawn for w in ws}, key=lambda w: (len(w), w))
         by_case = {}
-        for n in range(1, n_max + 1):
+        for n in range(1, N_MAX + 1):
             base, memo = fundamental_system(eq, n), {}
             forms = {w: apply_word(w, base, n, memo) for w in words}
             for ws, k_max in drawn:
@@ -125,10 +126,8 @@ def probe(seed: int, lists: int, n_max: int) -> dict:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--lists", type=int, default=40, help="generator lists per exponent set")
-    parser.add_argument("--nmax", type=int, default=12, help="largest truncation N")
     args = parser.parse_args()
-    print(json.dumps(probe(args.seed, args.lists, args.nmax), indent=1, default=str))
+    print(json.dumps(probe(args.seed), indent=1, default=str))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,6 @@ def load_probe():
 def test_no_verdict_changes_with_truncation():
     # 8 generator lists per exponent set (seed 6), words of length <= 3, N 1-12; the grid
     # holds cases where a zero-looking component and a short sweep once gave verdicts
-    result = load_probe().probe(seed=6, lists=8, n_max=12)
+    result = load_probe().probe(seed=6, lists=8)
     assert result["cases"] == 427
     assert result["examples"] == []
