@@ -1,40 +1,34 @@
 """Timings of the Frobenius recursion, of verify_solution, of indicial_polynomial and of serre_derivative.
 
-    PYTHONPATH=src python3 bench/frobenius_scaling.py > timings.json
+    python3 bench/frobenius_scaling.py [--rounds R] TREE [TREE ...] > timings.json
 
-For every exponent set and truncation N the script times
-``mlde.fundamental_system`` (one ``solve_frobenius`` per indicial root) and
-the same fundamental system built by ``fraction_solve``, the recursion that
-``solve_frobenius`` ran before its D^j f table moved to integer columns:
-every sigma and g_j convolution summed in Fraction arithmetic.  Both must
-give equal series; the script stops on any difference.  It also times
-``verify_solution`` on every component of the system (``verify_s``, the
-sum over components; each must verify), ``indicial_polynomial`` of each
-set's equation (``indicial_s``; its roots must be the set, and the
-operator's theta-form is cached after the first run, so this is the root
-search), and ``serre_derivative`` of eta^13 at weight 13/2, which must
-vanish, at N 176 and 512.
+The trees are paired by ``harness``.  For every exponent set and truncation N
+it times ``mlde.fundamental_system`` (``solve``: one ``solve_frobenius`` per
+indicial root) and ``verify_solution`` on every component of that system
+(``verify``; each must verify).  ``solve`` is checked against
+``fraction_solve``, the recursion that ``solve_frobenius`` ran before its
+D^j f table moved to integer columns: every sigma and g_j convolution summed
+in Fraction arithmetic.  The series must be equal; this reference is the
+slowest part of a run (36.8 s for the order-4 set at N 512 on a 2-core
+x86_64 VM with Python 3.11).  A ``solve`` case's name ends with the largest
+numerator or denominator bit length of any coefficient of the system.
+
+Per set it also times ``indicial_polynomial`` of the set's equation (its
+roots must be the set; the operator's theta-form is cached after the first
+call, so this is the root search), and ``serre_derivative`` of eta^13 at
+weight 13/2, which must vanish, at N 176 and 512.
 
 Sets: ``(0, 5/6)`` (order 2, weight 4, the README example),
 ``(1/12, 5/12, 9/12)`` (order 3, weight 3) and ``(1/12, 4/12, 7/12, 8/12)``
-(order 4, weight 2).  ``max_bits`` is the largest numerator or denominator
-bit length of any coefficient of the system.  Times are medians of runs
-repeated until about 0.5 s has been spent (at most 9 runs, 200 for the
-sub-millisecond indicial polynomial and Serre derivative), so a run that
-takes longer than that is timed once.
+(order 4, weight 2).
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import statistics
-import sys
-import time
 from fractions import Fraction
 
-from modforms.classical import _sigma, eta_power, serre_derivative, to_qexpansion
-from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents, verify_solution
+import harness
+from harness import Case
 
 SIZES = (64, 256, 512)
 SERRE_SIZES = (176, 512)
@@ -47,6 +41,9 @@ SETS = {
 
 def fraction_solve(equation, root, n_terms):
     """The pre-integer-column recursion: b[j][n] = coefficient n of D^j f, in Fractions."""
+    from modforms.classical import _sigma, to_qexpansion
+    from modforms.mlde import indicial_polynomial
+
     poly = indicial_polynomial(equation).poly
 
     def indicial(x):
@@ -81,66 +78,31 @@ def fraction_solve(equation, root, n_terms):
     return a
 
 
-def timed(fn, budget=0.5, runs=9):
-    """(median time, result of the first run) over runs repeated within the budget."""
-    times, result = [], None
-    while len(times) < runs and sum(times) < budget:
-        start = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - start)
-        result = out if result is None else result
-    return statistics.median(times), result
+def cases():
+    from modforms.classical import eta_power, serre_derivative
+    from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents, verify_solution
 
-
-def main():
-    rows = []
     for name, exponents in SETS.items():
         eq = mlde_from_exponents(exponents)
-        roots = indicial_polynomial(eq).roots
         for n in SIZES:
-            integer_s, system = timed(lambda: fundamental_system(eq, n))
-            fraction_s, reference = timed(lambda: [fraction_solve(eq, r, n) for r in roots])
-            assert reference == [list(f.coeffs) for f in system.components], (name, n)
-            verify_s, reports = timed(lambda: [verify_solution(eq, f, n) for f in system.components])
-            assert all(report.ok for report in reports), (name, n)
-            coeffs = [c for f in system.components for c in f.coeffs]
-            row = {
-                "exponents": name,
-                "order": len(exponents),
-                "weight": eq.weight,
-                "n": n,
-                "max_bits": max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
-                "fraction_s": fraction_s,
-                "integer_s": integer_s,
-                "speedup": round(fraction_s / integer_s, 1),
-                "verify_s": verify_s,
-            }
-            rows.append(row)
-            print(json.dumps(row), file=sys.stderr)
-    indicial_rows = []
-    for name, exponents in SETS.items():
-        eq = mlde_from_exponents(exponents)
-        indicial_s, ind = timed(lambda: indicial_polynomial(eq), runs=200)
-        assert ind.roots == exponents, name
-        row = {"exponents": name, "order": len(exponents), "weight": eq.weight, "indicial_s": indicial_s}
-        indicial_rows.append(row)
-        print(json.dumps(row), file=sys.stderr)
-    serre_rows = []
+            system = fundamental_system(eq, n)
+            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for f in system.components for c in f.coeffs)
+            yield Case(
+                f"solve ({name}) N{n} {bits} bits",
+                lambda: fundamental_system(eq, n),
+                check=lambda out: [list(f.coeffs) for f in out.components]
+                == [fraction_solve(eq, root, n) for root in indicial_polynomial(eq).roots],
+            )
+            yield Case(
+                f"verify ({name}) N{n}",
+                lambda: [verify_solution(eq, f, n) for f in system.components],
+                check=lambda reports: all(report.ok for report in reports),
+            )
+        yield Case(f"indicial ({name})", lambda: indicial_polynomial(eq), check=lambda ind: ind.roots == exponents)
     for n in SERRE_SIZES:
         f = eta_power(13, n)
-        serre_s, out = timed(lambda: serre_derivative(f, Fraction(13, 2)), runs=200)
-        assert out.is_zero, n
-        serre_rows.append({"form": "eta^13", "weight": "13/2", "n": n, "serre_s": serre_s})
-        print(json.dumps(serre_rows[-1]), file=sys.stderr)
-    doc = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "fundamental_system": rows,
-        "indicial_polynomial": indicial_rows,
-        "serre_derivative": serre_rows,
-    }
-    print(json.dumps(doc, indent=2))
+        yield Case(f"serre_derivative eta^13 N{n}", lambda: serre_derivative(f, Fraction(13, 2)), check=lambda out: out.is_zero)
 
 
 if __name__ == "__main__":
-    main()
+    harness.main(cases)

@@ -21,13 +21,12 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import classical, serialize
 from .errors import ModformError
 from .qseries import DEFAULT_TERMS, QExpansion
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .mlde import MLDE
 
@@ -95,7 +94,8 @@ def _parse_integers(text: str):
 def _read_document(path: str, decode):
     """Decode the JSON document at path; any failure to read it is a ModformError."""
     try:
-        return decode(json.loads(Path(path).read_text()))
+        with open(path) as handle:
+            return decode(json.load(handle))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise ModformError(f"cannot read {path!r}: {type(err).__name__}: {err}") from None
 

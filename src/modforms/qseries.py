@@ -225,8 +225,6 @@ class QExpansion:
         if order < 0:
             raise CannotExtend("truncation order must be nonnegative")
         if order > self.truncation_order:
-            if self.is_zero:
-                return QExpansion.zero(order)
             raise CannotExtend(
                 f"series known to order {self.truncation_order}, cannot extend to {order}"
             )

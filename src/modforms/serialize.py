@@ -33,11 +33,11 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .classical import PolynomialQR
 from .qseries import QExpansion, _coerce
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .mlde import MLDE
 

@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import TYPE_CHECKING
 
 from . import linalg
 from .classical import _collect, _monomial, dim_M, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange
 from .qseries import _int_product
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .vvmf import VVMF
 

@@ -95,11 +95,11 @@ def test_monodromy_values(capsys):
     assert doc["relations"]["ok"] and doc["relations"]["sign"] == -1
 
 
-def _fresh_process(child: str) -> str:
+def _fresh_process(child: str, *flags: str) -> str:
     """The last stdout line of child run in a fresh interpreter, so every import it makes shows in sys.modules."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, *flags, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()[-1]
 
@@ -135,6 +135,16 @@ def test_command_loads_only_its_layers(argv, unloaded):
     code, *loaded = _fresh_process(child).split()
     assert code == "0"
     assert not {f"modforms.{name}" for name in unloaded} & set(loaded)
+
+
+def test_qexp_loads_neither_typing_nor_pathlib():
+    # -S skips site-packages' start-up hooks, which may import both modules themselves
+    child = (
+        "import io, sys\nfrom contextlib import redirect_stdout\nfrom modforms.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n    code = main(['qexp', '--form', 'Q', '--terms', '64'])\n"
+        "print(code, 'typing' in sys.modules, 'pathlib' in sys.modules)"
+    )
+    assert _fresh_process(child, "-S") == "0 False False"
 
 
 def test_package_import_is_lazy():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modforms.errors import CannotExtend, NonConvergent, NonIntegralOffset
-from modforms.classical import eisenstein, euler_product
+from modforms.classical import delta, eisenstein, euler_product
 from modforms.qseries import QExpansion
 
 F = Fraction
@@ -47,8 +47,11 @@ def test_truncation_is_knowledge():
     assert f.truncate(4).coeffs == (F(0), F(1), F(2), F(3), F(4))
     with pytest.raises(CannotExtend):
         f.truncate(10)
-    # the zero series extends freely: absent terms of zero are still zero
-    assert QExpansion.zero(3).truncate(10).truncation_order == 10
+    # a zero series is known only to its order too: Delta through q^0 is zero, but Delta = q - 24q^2 + ...
+    with pytest.raises(CannotExtend):
+        QExpansion.zero(3).truncate(10)
+    with pytest.raises(CannotExtend):
+        delta(0).truncate(5)
 
 
 def test_add_same_lattice():
