@@ -12,8 +12,10 @@ bytecode), argparse, the computation and the JSON output.  A bare
 The commands are the eight of perfbench's cli workload (``cli_argv`` in
 ``perfbench/workloads.py``), each at the larger of its two sizes
 (``Sizes.cli_terms``, ``cli_mlde_terms``, ``cli_basis`` and ``rho_n``).  A
-command's check is the list of ``modforms`` modules it loaded, read in an
-untimed process that runs ``modforms.cli.main`` and lists ``sys.modules``.
+command's check is what it loaded, read in an untimed process that runs
+``modforms.cli.main`` and lists ``sys.modules``: its ``modforms`` modules, and
+whether each standard-library module of ``STDLIB`` was loaded (by the command
+or by the start-up hooks of site, which ``-S`` skips).
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ LOADED = (
     "from modforms.cli import main\n"
     "with redirect_stdout(io.StringIO()):\n"
     "    main(sys.argv[1:])\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('modforms')))\n"
+    "print(*sys.modules)\n"
 )
+
+#: Modules no command needs, each costing milliseconds to import.
+STDLIB = ("dataclasses", "inspect", "pathlib", "typing")
 
 
 def run(*argv):
@@ -50,7 +55,8 @@ def run(*argv):
 
 def loaded_modules(argv):
     done = subprocess.run([*harness.PYTHON, "-c", LOADED, *argv], check=True, capture_output=True, text=True)
-    return done.stdout.split()
+    loaded = set(done.stdout.split())
+    return {"modforms": sorted(m for m in loaded if m.startswith("modforms")), **{m: m in loaded for m in STDLIB}}
 
 
 def cases():

@@ -15,6 +15,14 @@ every N it times ``*``, ``+``, ``scale``, ``theta``, ``to_qexpansion`` and
   hundreds to thousands of bits; F * theta F, F + theta F, F scaled by -1/6,
   theta F and the Serre derivative of F at weight 4.
 
+The records' own costs are timed too: ``==``, ``hash`` and ``_from_ints`` of
+E4 at every N (``==`` against an equal copy with its own numerator tuple),
+and, once, the init, ``hash`` and ``==`` of the coefficient Q of the MLDE
+with exponents (0, 5/6) and a hit of ``_theta_form``'s cache at N 64 for its
+operator, looked up with equal but freshly built terms (checked to return the
+first build itself).  These operations take well under a microsecond, so each
+timed call of a record case makes ``LOOPS`` of them (``looped``).
+
 ``to_qexpansion`` maps the weight-40 element m = sum Q^u R^v / (1 + u + 2v)
 of M_40 (every monomial) to a series, ``from_qexpansion`` maps that series
 back to m (checked), and ``delta`` builds the discriminant; these cases have
@@ -33,6 +41,7 @@ import harness
 from harness import Case
 
 SIZES = (4, 8, 15, 64, 256, 512)
+LOOPS = 1000
 
 
 def clear_caches():
@@ -45,9 +54,21 @@ def clear_caches():
                     obj.cache_clear()
 
 
+def looped(op):
+    """A call that makes op() LOOPS times and returns its last result."""
+
+    def run():
+        for _ in range(LOOPS - 1):
+            op()
+        return op()
+
+    return run
+
+
 def cases():
     from modforms.classical import (
         PolynomialQR,
+        _theta_form,
         delta,
         eisenstein,
         eta_power,
@@ -57,6 +78,7 @@ def cases():
         to_qexpansion,
     )
     from modforms.mlde import fundamental_system, mlde_from_exponents
+    from modforms.qseries import QExpansion
 
     m = PolynomialQR.make(40, {(u, v): Fraction(1, 1 + u + 2 * v) for u, v in monomial_basis(40)})
     for n in SIZES:
@@ -83,6 +105,20 @@ def cases():
         yield Case(f"delta N{n}", lambda: delta(n))
         yield Case(f"to_qexpansion cold N{n}", lambda: to_qexpansion(m, n), before=clear_caches)
         yield Case(f"delta cold N{n}", lambda: delta(n), before=clear_caches)
+        e4_copy = QExpansion._from_ints(e4.leading, list(e4.nums), e4.den)
+        yield Case(f"series == N{n}", looped(lambda: e4 == e4_copy), check=bool)
+        yield Case(f"series hash N{n}", looped(lambda: hash(e4)))
+        yield Case(f"series _from_ints N{n}", looped(lambda: QExpansion._from_ints(e4.leading, e4.nums, e4.den)))
+    equation = mlde_from_exponents([0, Fraction(5, 6)])
+    g = equation.coeffs[0]
+    g_copy = PolynomialQR(g.weight, tuple(list(g.coords)))
+    yield Case("polynomial init", looped(lambda: PolynomialQR(g.weight, g.coords)))
+    yield Case("polynomial hash", looped(lambda: hash(g)))
+    yield Case("polynomial ==", looped(lambda: g == g_copy), check=bool)
+    built = _theta_form(equation.to_skew().terms, equation.weight, 64)
+    terms = equation.to_skew().terms
+    hit = looped(lambda: _theta_form(terms, equation.weight, 64))
+    yield Case("theta_form cache hit N64", hit, check=lambda out: out is built)
 
 
 if __name__ == "__main__":

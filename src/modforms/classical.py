@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from operator import add, mul, sub
 
-from .errors import AmbiguousTruncation, NotInM, OddWeight
+from .errors import AmbiguousTruncation, NotInM, OddWeight, Record, _set
 from .qseries import DEFAULT_TERMS, QExpansion, _coerce, _int_product
 
 
@@ -139,16 +138,19 @@ def _collect(terms) -> tuple:
     return tuple(sorted((key, value) for key, value in sums.items() if value))
 
 
-@dataclass(frozen=True)
-class PolynomialQR:
+class PolynomialQR(Record):
     """Element of M = C[Q, R] on the monomial basis {Q^u R^v}, with a weight.
 
     ``coords`` maps (u, v) with 4u + 6v = weight to an exact rational
     coefficient; zero coefficients are dropped on construction.
     """
 
-    weight: int
-    coords: tuple  # sorted tuple of ((u, v), Fraction) pairs
+    __slots__ = ("weight", "coords")  # int; sorted tuple of ((u, v), Fraction) pairs
+
+    def __init__(self, weight: int, coords: tuple):
+        # written out: every sum and product in M builds one, and Record's loop costs twice as much
+        _set(self, "weight", weight)
+        _set(self, "coords", coords)
 
     @staticmethod
     def make(weight: int, coords) -> PolynomialQR:

@@ -226,9 +226,7 @@ def _cmd_poincare(args) -> int:
         raise ModformError("need --weights or --cyclic")
     doc = serialize.to_json(ps)
     if args.upto is not None:
-        doc["coefficients"] = {
-            str(w): structure.ps_coefficient(ps, w) for w in range(args.upto + 1)
-        }
+        doc["coefficients"] = {str(w): d for w, d in enumerate(structure._ps_coefficients(ps, 0, args.upto))}
     return _emit(doc, str(ps), args.format)
 
 

@@ -1,10 +1,75 @@
-"""Exception types shared across the package.
+"""Exception types and the record base shared across the package.
 
 Every domain error derives from :class:`ModformError` so callers (and the
 CLI) can catch the whole family at once.  ``NonConvergent`` is a warning,
 not an error: numeric evaluation outside the reliable disk still returns a
 value.
+
+``Record`` is the base of the package's immutable value types.  It lives
+here because every layer already imports this module.
 """
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record: its fields are the names in ``__slots__``, its value their values.
+
+    A subclass names its fields in ``__slots__`` (a tuple) and the default
+    of any optional one in ``_defaults``.  The base gives positional or
+    keyword construction, equality and a hash on the fields' values, the
+    repr ``Name(field=value, ...)``, and refuses assignment and deletion.
+    Records are equal only to records of the same class, so never to a
+    tuple.  Nothing is generated: each class gets one ``attrgetter`` of its
+    fields, the key that equality and the hash read.  A hot record may
+    define its own ``__init__``, setting each field with ``_set``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields {', '.join(names)}; "
+                    f"got {len(args)} positional and the keywords {', '.join(kwargs) or 'none'}"
+                )
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back object.__getstate__'s (None, {field: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
 
 
 class ModformError(Exception):

@@ -22,7 +22,6 @@ coefficient spaces M_4..M_10 are one-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -35,6 +34,7 @@ from .errors import (
     NonIntegralWeight,
     NotARoot,
     OrderTooLarge,
+    Record,
     ResonantRoot,
     RootsNotDistinct,
     RootsOutOfRange,
@@ -114,13 +114,10 @@ def _rational_roots(poly) -> list:
 
 # -- the equation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MLDE:
+class MLDE(Record):
     """Monic order-p operator at weight k_0; coeffs are g_0..g_{p-2}."""
 
-    weight: int
-    order: int
-    coeffs: tuple  # PolynomialQR, index j has modular weight 2(order - j)
+    __slots__ = ("weight", "order", "coeffs")  # coeffs: PolynomialQR, index j of modular weight 2(order - j)
 
     @staticmethod
     def make(weight: int, order: int, coeffs) -> MLDE:
@@ -149,11 +146,9 @@ class MLDE:
         return skew.SkewPolynomial.make(terms)
 
 
-@dataclass(frozen=True)
-class IndicialData:
-    poly: tuple  # Fractions, ascending in lambda
-    roots: tuple  # rational roots with multiplicity, sorted
-    all_rational: bool
+class IndicialData(Record):
+    # poly: Fractions, ascending in lambda; roots: the rational roots with multiplicity, sorted
+    __slots__ = ("poly", "roots", "all_rational")
 
 
 def _partial_products(offsets) -> list:
@@ -284,12 +279,8 @@ def mlde_from_exponents(exponents) -> MLDE:
     return MLDE.make(k0, p, coeffs)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    ok: bool
-    order_checked: int
-    first_nonzero_exponent: Fraction | None
-    first_nonzero_value: Fraction | None
+class ResidualReport(Record):
+    __slots__ = ("ok", "order_checked", "first_nonzero_exponent", "first_nonzero_value")  # the last two Fraction or None
 
 
 def verify_solution(equation: MLDE, f: QExpansion, n_terms: int) -> ResidualReport:

@@ -25,12 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import add, mul
 
-from .errors import CannotExtend, NonConvergent, NonIntegralOffset
+from .errors import CannotExtend, NonConvergent, NonIntegralOffset, Record, _set
 
 #: Truncation used by convenience constructors when none is given.
 DEFAULT_TERMS = 64
@@ -86,31 +85,28 @@ def _int_product(a: list[int], b: list[int]) -> list[int]:
     return _kronecker(a, b)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class QExpansion:
+class QExpansion(Record):
     """Immutable truncated series ``q^leading * sum(nums[n] q^n, n=0..N) / den``."""
 
-    leading: Fraction
-    den: int
-    nums: tuple
+    __slots__ = ("leading", "den", "nums")  # Fraction; int > 0; tuple of ints
 
     def __init__(self, leading, coeffs):
         """The series with the given Fraction, int or "num/den" string coefficients."""
         coeffs = [_coerce(c) for c in coeffs]
         # the lcm of reduced denominators leaves the numerators coprime to it
         den = math.lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "leading", Fraction(leading))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set(self, "leading", Fraction(leading))
+        _set(self, "den", den)
+        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
     @staticmethod
     def _from_ints(leading: Fraction, nums, den: int = 1) -> QExpansion:
         """The series q^leading * sum(nums[n] q^n) / den for den > 0, reduced."""
         g = math.gcd(den, *nums) if den != 1 else 1
         f = object.__new__(QExpansion)
-        object.__setattr__(f, "leading", leading)
-        object.__setattr__(f, "den", den // g)
-        object.__setattr__(f, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
+        _set(f, "leading", leading)
+        _set(f, "den", den // g)
+        _set(f, "nums", tuple(x // g for x in nums) if g != 1 else tuple(nums))
         return f
 
     @staticmethod

@@ -10,14 +10,14 @@ itself and asks ``to_json`` for one level of anything else:
 - a PolynomialQR is {weight, coords}, coords keyed "u,v" for Q^u R^v;
 - a PoincareSeries is {numerator, denominator}: exponent strings to integer
   coefficients over the fixed "(1-t^4)*(1-t^6)";
-- any other dataclass is its fields, except that a field still at its
-  declared default of None is left out (``RepData.rho_S``); a None field
-  without that default stays null (``TwoDimClass.coker_weight``);
+- any other record (``errors.Record``) is its fields, except that a field
+  still at its declared default of None is left out (``RepData.rho_S``); a
+  None field without that default stays null (``TwoDimClass.coker_weight``);
 - anything else raises TypeError.
 
-At run time this module imports only ``qseries`` and ``classical``.  A
+At run time this module imports only ``errors``, ``qseries`` and ``classical``.  A
 PoincareSeries is recognised by its class's module and name, and an MLDE is
-encoded by the dataclass rule, so neither ``structure`` nor ``mlde`` is
+encoded by the record rule, so neither ``structure`` nor ``mlde`` is
 needed to encode; ``mlde_from_json`` imports ``mlde`` when it is called.
 
 Three decoders read documents back: ``qexpansion_from_json``,
@@ -31,10 +31,10 @@ float or bool raises TypeError instead of being rounded.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .classical import PolynomialQR
+from .errors import Record
 from .qseries import QExpansion, _coerce
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -59,11 +59,12 @@ def to_json(x):
             "numerator": {str(e): c for e, c in x.numerator},
             "denominator": "(1-t^4)*(1-t^6)",
         }
-    if is_dataclass(x):
+    if isinstance(x, Record):
+        # ... is no declared default, so only a field defaulting to None can be dropped
         return {
-            f.name: getattr(x, f.name)
-            for f in fields(x)
-            if not (f.default is None and getattr(x, f.name) is None)
+            name: getattr(x, name)
+            for name in x.__slots__
+            if not (x._defaults.get(name, ...) is None and getattr(x, name) is None)
         }
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 

@@ -15,18 +15,17 @@ theta-form sum_l h_l theta^l (`classical._theta_form`) once per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .classical import PolynomialQR, _apply_theta_form, _collect, _theta_form, serre_derivative_poly
+from .errors import Record
 from .qseries import QExpansion
 
 
-@dataclass(frozen=True)
-class SkewPolynomial:
+class SkewPolynomial(Record):
     """Normal form sum of (coefficient in C[Q,R]) * d^power terms."""
 
-    terms: tuple  # sorted tuple of (power, PolynomialQR), zero coefficients removed
+    __slots__ = ("terms",)  # sorted tuple of (power, PolynomialQR), zero coefficients removed
 
     @staticmethod
     def make(terms) -> SkewPolynomial:

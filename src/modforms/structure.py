@@ -19,13 +19,12 @@ exponents lambda; its Wronskian has weight eK + e(e - 1), leads at q^(sum lambda
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
 from .classical import _collect, _monomial, dim_M, monomial_basis
-from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange
+from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange, Record
 from .qseries import _int_product
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -43,11 +42,10 @@ def _dim(w: int) -> int:
     return dim_M(w)
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Record):
     """Integer numerator over the fixed denominator (1-t^4)(1-t^6)."""
 
-    numerator: tuple  # sorted (exponent, coefficient), zeros removed
+    __slots__ = ("numerator",)  # sorted (exponent, coefficient), zeros removed
 
     @staticmethod
     def make(num: dict) -> PoincareSeries:
@@ -101,6 +99,20 @@ def ps_coefficient(ps: PoincareSeries, w: int) -> int:
     return sum(c * _dim(w - e) for e, c in ps.numerator)
 
 
+def _ps_coefficients(ps: PoincareSeries, lo: int, hi: int) -> list:
+    """[ps_coefficient(ps, w) for w from lo to hi], in one pass over the weights.
+
+    Multiplying by the denominator gives a_w = N_w + a_(w-4) + a_(w-6) - a_(w-10),
+    every a_w below the lowest weight being 0.
+    """
+    num = dict(ps.numerator)
+    start = min(lo, *num) if num else lo
+    a = [0] * 10
+    for w in range(start, hi + 1):
+        a.append(num.get(w, 0) + a[-4] + a[-6] - a[-10])
+    return a[10 + lo - start :]
+
+
 def character_module(k0: int):
     """(h, series) of the rank-1 module for the character chi^{k0}, generated by eta^h."""
     if not 0 <= k0 <= 11:
@@ -108,14 +120,9 @@ def character_module(k0: int):
     return 2 * k0, PoincareSeries.make({k0: 1})
 
 
-@dataclass(frozen=True)
-class TwoDimClass:
-    a: int
-    b: int
-    kind: str  # "split" | "cyclic"
-    k0: int
-    weights: tuple  # sorted fundamental weights
-    coker_weight: int | None
+class TwoDimClass(Record):
+    # kind is "split" or "cyclic", weights the sorted fundamental weights, coker_weight an int or None
+    __slots__ = ("a", "b", "kind", "k0", "weights", "coker_weight")
 
 
 def classify_2dim(a: int, b: int) -> TwoDimClass:
@@ -165,14 +172,9 @@ def coker_ps_difference(cls: TwoDimClass) -> dict:
     return {i: c for i, c in enumerate(quot) if c}
 
 
-@dataclass(frozen=True)
-class FreeBasisReport:
-    ok: bool
-    rank: int
-    max_weight: int
-    dims: tuple  # (weight, dimension) pairs, nonzero weights only
-    spans: bool  # proved: the generators are a free basis of H(rho)
-    message: str
+class FreeBasisReport(Record):
+    # dims: (weight, dimension) pairs, nonzero weights only; spans: proved a free basis of H(rho)
+    __slots__ = ("ok", "rank", "max_weight", "dims", "spans", "message")
 
 
 def _det_series(cells, n: int) -> dict:
@@ -250,8 +252,8 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
     r, p = len(gens), rep.p
     weights = [g.weight for g in gens]
     series = ps_from_weights(weights)
-    dims = [(w, ps_coefficient(series, w)) for w in range(min(weights), k_max + 1)]
-    dims = tuple((w, d) for w, d in dims if d)
+    lowest = min(weights)
+    dims = tuple((w, d) for w, d in enumerate(_ps_coefficients(series, lowest, k_max), lowest) if d)
     # Cells of slot j are the coefficients of q^(low_j + t), t <= depth_j, over the lcm of the
     # slot's denominators (a column scaling, which keeps the rank and whether a minor vanishes).
     # Nonzero components of slot j lie on m_j + Z; zero ones carry no exponent.  slots[i][j]

@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .classical import serre_derivative
-from .errors import InsufficientTruncation, SingularSampleMatrix
+from .errors import InsufficientTruncation, Record, SingularSampleMatrix
 from .qseries import QExpansion
 
 
-@dataclass(frozen=True)
-class RepData:
+class RepData(Record):
     """Exponents m_j of the diagonal T-action, with optional numeric S-matrix."""
 
-    exponents: tuple  # Fractions in [0, 1)
-    rho_S: tuple | None = None  # p x p, rows of complex entries
+    __slots__ = ("exponents", "rho_S")  # Fractions in [0, 1); p x p rows of complex entries, or None
+    _defaults = {"rho_S": None}
 
     @staticmethod
     def make(exponents, rho_S=None) -> RepData:
@@ -51,13 +49,10 @@ class RepData:
         return RepData.make(self.exponents, matrix)
 
 
-@dataclass(frozen=True)
-class VVMF:
+class VVMF(Record):
     """A weight, representation data, and one q-expansion per component."""
 
-    weight: int
-    rep: RepData
-    components: tuple
+    __slots__ = ("weight", "rep", "components")  # int; RepData; tuple of QExpansion
 
     @staticmethod
     def make(weight: int, rep: RepData, components) -> VVMF:
@@ -71,17 +66,12 @@ class VVMF:
         return self.rep.p
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
-    index: int
-    ok: bool
-    message: str
+class ComponentCheck(Record):
+    __slots__ = ("index", "ok", "message")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    components: tuple
+class ValidationReport(Record):
+    __slots__ = ("ok", "components")  # bool; tuple of ComponentCheck
 
 
 def validate(form: VVMF) -> ValidationReport:
@@ -212,12 +202,8 @@ def recover_rho_S(form: VVMF, points=None) -> tuple:
     return tuple(tuple(row) for row in _matmul(slashed, inverse))
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    ok: bool
-    sign: int
-    s_squared_residual: float
-    braid_residual: float
+class RelationReport(Record):
+    __slots__ = ("ok", "sign", "s_squared_residual", "braid_residual")
 
 
 def _distance(a, b) -> float:

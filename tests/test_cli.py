@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -143,6 +144,25 @@ def test_qexp_loads_neither_typing_nor_pathlib():
         "import io, sys\nfrom contextlib import redirect_stdout\nfrom modforms.cli import main\n"
         "with redirect_stdout(io.StringIO()):\n    code = main(['qexp', '--form', 'Q', '--terms', '64'])\n"
         "print(code, 'typing' in sys.modules, 'pathlib' in sys.modules)"
+    )
+    assert _fresh_process(child, "-S") == "0 False False"
+
+
+#: bench/cli_start.py's COMMANDS, the README commands at their larger sizes, read without importing bench/.
+README_COMMANDS = ast.literal_eval(next(
+    node.value
+    for node in ast.parse((Path(__file__).resolve().parent.parent / "bench" / "cli_start.py").read_text()).body
+    if isinstance(node, ast.Assign) and node.targets[0].id == "COMMANDS"
+))
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
+def test_command_loads_neither_dataclasses_nor_inspect(argv):
+    # -S skips site-packages' start-up hooks, which could load either module and hide a regression
+    child = (
+        "import io, sys\nfrom contextlib import redirect_stdout\nfrom modforms.cli import main\n"
+        f"with redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules)"
     )
     assert _fresh_process(child, "-S") == "0 False False"
 

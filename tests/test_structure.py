@@ -16,6 +16,7 @@ from modforms.errors import (
 from modforms.mlde import fundamental_system, mlde_from_exponents
 from modforms.structure import (
     _det_series,
+    _ps_coefficients,
     PoincareSeries,
     all_2dim_classes,
     character_module,
@@ -80,6 +81,17 @@ def test_ps_coefficient():
         assert ps_coefficient(m_series, w) == dim_M(w)
     with pytest.raises(ValueError):
         ps_coefficient(m_series, -2)
+
+
+def test_one_pass_coefficients_match_each_weight():
+    for k0 in range(12):
+        for p in range(1, 5):
+            ps = ps_cyclic(k0, p)
+            for lo in (0, k0, 59, 60, 61):
+                assert _ps_coefficients(ps, lo, 60) == [ps_coefficient(ps, w) for w in range(lo, 61)]
+    # a generator below weight 0 (k_0 < 0) starts the pass there
+    ps = ps_from_weights([-2, 0, 5])
+    assert _ps_coefficients(ps, -2, 60) == [ps_coefficient(ps, w) for w in range(-2, 61)]
 
 
 def test_character_module():
