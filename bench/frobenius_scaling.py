@@ -13,14 +13,22 @@ slowest part of a run (36.8 s for the order-4 set at N 512 on a 2-core
 x86_64 VM with Python 3.11).  A ``solve`` case's name ends with the largest
 numerator or denominator bit length of any coefficient of the system.
 
-Per set it also times ``indicial_polynomial`` of the set's equation (its
-roots must be the set; the operator's theta-form is cached after the first
-call, so this is the root search), and ``serre_derivative`` of eta^13 at
-weight 13/2, which must vanish, at N 176 and 512.
-
 Sets: ``(0, 5/6)`` (order 2, weight 4, the README example),
 ``(1/12, 5/12, 9/12)`` (order 3, weight 3) and ``(1/12, 4/12, 7/12, 8/12)``
 (order 4, weight 2).
+
+At the sizes of the perfbench workloads (``WORKLOAD_SETS``: one low-height
+and one high-height set per order, at the free_basis levels of N and then
+the mlde N grid; order 1 has only low-height sets) it times the set-up an
+op pays, ``mlde_from_exponents`` followed by ``fundamental_system`` with
+the theta-form cache emptied before every call (``setup+solve``, checked
+against ``fraction_solve``).  For every set of both tables it times
+``mlde_from_exponents`` alone (the theta-form's constant terms, the oracle
+of the indicial polynomial, must vanish at every exponent) and
+``indicial_polynomial`` alone (its roots must be the set; it reads the
+equation's constants, builds no theta-form, and its time is the Newton
+form and the root search).  Last, ``serre_derivative`` of eta^13 at weight
+13/2, which must vanish, at N 176 and 512.
 """
 
 from __future__ import annotations
@@ -36,6 +44,17 @@ SETS = {
     "0,5/6": (Fraction(0), Fraction(5, 6)),
     "1/12,5/12,9/12": (Fraction(1, 12), Fraction(5, 12), Fraction(9, 12)),
     "1/12,4/12,7/12,8/12": (Fraction(1, 12), Fraction(4, 12), Fraction(7, 12), Fraction(8, 12)),
+}
+
+F = Fraction
+WORKLOAD_SETS = {
+    "5/12": ((F(5, 12),), (32, 40, 160, 224)),
+    "1/12,7/12": ((F(1, 12), F(7, 12)), (24, 32, 64, 96)),
+    "0,10/12": ((F(0), F(10, 12)), (24, 32, 64, 96)),
+    "1/12,5/12,9/12": ((F(1, 12), F(5, 12), F(9, 12)), (20, 24, 40, 56)),
+    "0,2/12,7/12": ((F(0), F(2, 12), F(7, 12)), (20, 24, 40, 56)),
+    "0,2/12,6/12,8/12": ((F(0), F(2, 12), F(6, 12), F(8, 12)), (28, 40)),
+    "1/12,4/12,7/12,8/12": ((F(1, 12), F(4, 12), F(7, 12), F(8, 12)), (28, 40)),
 }
 
 
@@ -78,9 +97,20 @@ def fraction_solve(equation, root, n_terms):
     return a
 
 
+def theta_indicial_vanishes(equation, exponents):
+    """Whether the constant terms of the operator's theta-form, I(lambda) times its den, vanish at every exponent."""
+    from modforms.classical import _theta_form
+
+    _, h = _theta_form(equation.to_skew().terms, equation.weight, 0)
+    return all(sum(hl[0] * m**l for l, hl in enumerate(h)) == 0 for m in exponents)
+
+
 def cases():
-    from modforms.classical import eta_power, serre_derivative
+    from modforms.classical import _theta_form, eta_power, serre_derivative
     from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents, verify_solution
+
+    def matches_fraction_solve(system, eq, n):
+        return [list(f.coeffs) for f in system.components] == [fraction_solve(eq, root, n) for root in indicial_polynomial(eq).roots]
 
     for name, exponents in SETS.items():
         eq = mlde_from_exponents(exponents)
@@ -90,14 +120,29 @@ def cases():
             yield Case(
                 f"solve ({name}) N{n} {bits} bits",
                 lambda: fundamental_system(eq, n),
-                check=lambda out: [list(f.coeffs) for f in out.components]
-                == [fraction_solve(eq, root, n) for root in indicial_polynomial(eq).roots],
+                check=lambda out: matches_fraction_solve(out, eq, n),
             )
             yield Case(
                 f"verify ({name}) N{n}",
                 lambda: [verify_solution(eq, f, n) for f in system.components],
                 check=lambda reports: all(report.ok for report in reports),
             )
+    for name, (exponents, sizes) in WORKLOAD_SETS.items():
+        eq = mlde_from_exponents(exponents)
+        for n in sizes:
+            yield Case(
+                f"setup+solve ({name}) N{n}",
+                lambda: fundamental_system(mlde_from_exponents(exponents), n),
+                check=lambda out: matches_fraction_solve(out, eq, n),
+                before=_theta_form.cache_clear,
+            )
+    for name, exponents in {**SETS, **{name: exponents for name, (exponents, _) in WORKLOAD_SETS.items()}}.items():
+        eq = mlde_from_exponents(exponents)
+        yield Case(
+            f"mlde_from_exponents ({name})",
+            lambda: mlde_from_exponents(exponents),
+            check=lambda out: out == eq and theta_indicial_vanishes(out, exponents),
+        )
         yield Case(f"indicial ({name})", lambda: indicial_polynomial(eq), check=lambda ind: ind.roots == exponents)
     for n in SERRE_SIZES:
         f = eta_power(13, n)

@@ -24,7 +24,10 @@ references that take far longer than the case itself.
 
 The output holds, per case and tree, every round's time, their minimum and
 median and the check's value, and each tree's minimum and median over the
-first tree's.
+first tree's.  Since one unusually fast child can set a tree's minimum, it
+also holds, per tree, each round's time over the first tree's time in the
+same round, with the median, minimum and maximum of those ratios: the
+paired reading, whose spread shows how far one round can mislead.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import subprocess
 import sys
 import time
 from collections import namedtuple
+from operator import truediv
 
 Case = namedtuple("Case", "name fn check before", defaults=(None, None))
 
@@ -117,7 +121,11 @@ def main(cases):
             checked = tree_runs[0][name]["checked"]
             rows.append({"times_s": times, "min_s": min(times), "median_s": statistics.median(times), "checked": checked})
         ratios = [{k: row[k] / rows[0][k] for k in ("min_s", "median_s")} for row in rows]
-        out[name] = {"trees": rows, "over_first_tree": ratios}
+        paired = []
+        for row in rows:
+            by_round = list(map(truediv, row["times_s"], rows[0]["times_s"]))
+            paired.append({"ratios": by_round, "median": statistics.median(by_round), "min": min(by_round), "max": max(by_round)})
+        out[name] = {"trees": rows, "over_first_tree": ratios, "rounds_over_first_tree": paired}
     print(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -24,7 +24,7 @@ from itertools import repeat, zip_longest
 from operator import add, mul, sub
 
 from .errors import AmbiguousTruncation, NotInM, OddWeight, Record, _set
-from .qseries import DEFAULT_TERMS, QExpansion, _coerce, _int_product
+from .qseries import DEFAULT_TERMS, QExpansion, _coerce, _int_product, _nonnegative
 
 
 def _sigma(power: int, n: int) -> int:
@@ -44,6 +44,7 @@ def _sigma(power: int, n: int) -> int:
 @functools.lru_cache(maxsize=None)
 def eisenstein(kind: str, terms: int = DEFAULT_TERMS) -> QExpansion:
     """Exact expansion of P (quasimodular E2, as 12P over 12), Q = E4 or R = E6 to ``terms``."""
+    _nonnegative(terms)
     if kind == "Q":
         nums, den = [1] + [240 * _sigma(3, n) for n in range(1, terms + 1)], 1
     elif kind == "R":
@@ -82,6 +83,7 @@ def delta(terms: int = DEFAULT_TERMS) -> QExpansion:
 @functools.lru_cache(maxsize=None)
 def euler_product(terms: int = DEFAULT_TERMS) -> QExpansion:
     """prod_{n>=1} (1 - q^n) via the pentagonal number theorem."""
+    _nonnegative(terms)
     coeffs = [0] * (terms + 1)
     k = 0
     while True:
@@ -216,6 +218,7 @@ class PolynomialQR(Record):
 
 def to_qexpansion(m: PolynomialQR, terms: int = DEFAULT_TERMS) -> QExpansion:
     """Substitute the Eisenstein expansions for Q and R: a sum of `_monomial` rows over one lcm."""
+    _nonnegative(terms)
     den = math.lcm(*(c.denominator for _, c in m.coords))
     acc = [0] * (terms + 1)
     for (u, v), c in m.coords:
@@ -300,10 +303,12 @@ def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
     Returns (den, h), each h[l] a tuple of n + 1 int numerators.  T_0 = 1 and
     T_{j+1} = D T_j, by the one Serre step D = theta + w P, w = k + 2j: with
     a = 12 den(w) and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1},
-    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j.  Cached,
-    so the Frobenius solves of every root and the verifications of every
-    component of one system share one build; the result is all tuples, so no
-    caller can change a cached form.
+    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j.  Cached:
+    a fundamental system builds its form once, in the solve of its first
+    root, and the other roots' solves and `verify_solution` on every
+    component read it (the indicial polynomial comes from the equation's
+    constants, not from a form).  The result is all tuples, so no caller can
+    change a cached form.
     """
     k = Fraction(k)
     p12 = eisenstein("P", n).nums

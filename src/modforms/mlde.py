@@ -4,17 +4,20 @@ An order-p MLDE at weight k_0 is the monic operator
 
     L = D^p + g_{p-2} D^{p-2} + ... + g_1 D + g_0,   g_j in M_{2(p-j)},
 
-with no D^{p-1} term since M_2 = 0.  Its indicial polynomial at the cusp is
+with no D^{p-1} term since M_2 = 0.  Its indicial polynomial at the cusp,
+in Newton form on the offsets o_l = (k_0+2l)/12, is
 
-    I(lambda) = prod_{l<p} (lambda - (k_0+2l)/12)
-              + sum_j g_j(oo) prod_{l<j} (lambda - (k_0+2l)/12),
+    I(lambda) = prod_{l<p} (lambda - o_l) + sum_j g_j(oo) prod_{l<j} (lambda - o_l),
 
-whose roots are the leading exponents of a fundamental system.  Its
-rational roots come from bisection under Descartes' rule of signs
-(`_rational_roots`): no factoring and no divisor search, so the time is
-polynomial in the size of the coefficients.  Solving and verifying share
-the operator's theta-form sum_l h_l theta^l / den on integers
-(`classical._theta_form`): the Frobenius recursion is integer dot products
+whose roots are the leading exponents of a fundamental system.  In
+mu = 12 lambda the offsets are ints, so `indicial_polynomial` sums int
+partial products (`_partial_products`) and divides once per coefficient;
+`mlde_from_exponents` inverts it on the same partials.  The rational roots
+come from bisection under Descartes' rule of signs (`_rational_roots`): no
+factoring and no divisor search, so the time is polynomial in the size of
+the coefficients.  Solving and verifying share the operator's theta-form
+sum_l h_l theta^l / den on integers (`classical._theta_form`), built once
+per fundamental system: the Frobenius recursion is integer dot products
 against the h_l, and `verify_solution` applies the form.  The converse
 direction rebuilds the operator from prescribed exponents while the
 coefficient spaces M_4..M_10 are one-dimensional.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul, ne, sub
+from operator import add, mul, ne, sub
 
 from . import skew
 from .classical import PolynomialQR, _theta_form, monomial_basis
@@ -39,7 +42,7 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
-from .linalg import _poly_divmod, _poly_eval, _poly_mul, _poly_shift
+from .linalg import _poly_divmod, _poly_eval, _poly_shift
 from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
@@ -114,6 +117,9 @@ def _rational_roots(poly) -> list:
 
 # -- the equation ------------------------------------------------------------
 
+_ONE = PolynomialQR.monomial(0, 0)
+
+
 class MLDE(Record):
     """Monic order-p operator at weight k_0; coeffs are g_0..g_{p-2}."""
 
@@ -139,11 +145,8 @@ class MLDE(Record):
         return [Fraction(self.weight + 2 * l, 12) for l in range(self.order)]
 
     def to_skew(self) -> skew.SkewPolynomial:
-        terms = {self.order: PolynomialQR.monomial(0, 0)}
-        for j, g in enumerate(self.coeffs):
-            if not g.is_zero:
-                terms[j] = g
-        return skew.SkewPolynomial.make(terms)
+        # already in normal form: ascending powers, no zero coefficient
+        return skew.SkewPolynomial((*((j, g) for j, g in enumerate(self.coeffs) if g), (self.order, _ONE)))
 
 
 class IndicialData(Record):
@@ -152,24 +155,27 @@ class IndicialData(Record):
 
 
 def _partial_products(offsets) -> list:
-    """[prod_{l<j} (lambda - offsets[l]) for j = 0..len(offsets)], ascending."""
-    partial = [[Fraction(1)]]
+    """[prod_{l<j} (x - offsets[l]) for j = 0..len(offsets)], ascending, on int offsets."""
+    partial = [[1]]
     for w in offsets:
-        partial.append(_poly_mul(partial[-1], [-w, Fraction(1)]))
+        prev = partial[-1]
+        partial.append([a - w * b for a, b in zip([0, *prev], [*prev, 0])])
     return partial
 
 
-def _indicial_coefficients(equation: MLDE) -> tuple:
-    """I(lambda) as Fractions, ascending in lambda: the constant terms of the theta-form."""
-    den, h = _theta_form(equation.to_skew().terms, equation.weight, 0)
-    return tuple(Fraction(hl[0], den) for hl in h)
-
-
 def indicial_polynomial(equation: MLDE) -> IndicialData:
-    """Exact indicial polynomial at the cusp and its rational roots."""
-    poly = _indicial_coefficients(equation)
+    """Exact indicial polynomial at the cusp, by its Newton form, and its rational roots."""
+    p = equation.order
+    partial = _partial_products(range(equation.weight, equation.weight + 2 * p, 2))
+    consts = [g.constant_term() for g in equation.coeffs]
+    d = lcm(*(c.denominator for c in consts))
+    # 12^p d I(mu / 12): d P_p + sum_j 12^(p-j) d g_j(oo) P_j, on the int partial products P_j
+    acc = [d * x for x in partial[p]]
+    for j, c in enumerate(consts):
+        acc[: j + 1] = map(add, acc, map(mul, repeat(c.numerator * (d // c.denominator) * 12 ** (p - j)), partial[j]))
+    poly = tuple(Fraction(x, d * 12 ** (p - i)) for i, x in enumerate(acc))
     roots = _rational_roots(poly)
-    return IndicialData(poly, tuple(roots), len(roots) == equation.order)
+    return IndicialData(poly, tuple(roots), len(roots) == p)
 
 
 def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
@@ -185,17 +191,18 @@ def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
     root = Fraction(root)
     r, s = root.numerator, root.denominator
     _, h = _theta_form(equation.to_skew().terms, equation.weight, n_terms)
-    p = equation.order
+    p = len(h) - 1
     # den s^p I(x / s), an integer polynomial in x
     indicial = [hl[0] * s ** (p - l) for l, hl in enumerate(h)]
     if _poly_eval(indicial, r) != 0:
         raise NotARoot(f"{root} is not an indicial root")
-    # s^(p-l) h_l for each h_l with terms past q^0, reversed: table[N - n:] starts at q^n
-    tables = {l: [x * s ** (p - l) for x in hl[:0:-1]] for l, hl in enumerate(h) if any(hl[1:])}
-    cols = {l: [r**l] for l in {0, *tables}}
+    # column l against s^(p-l) h_l from q^1 on, for each h_l with terms past q^0
+    pairs = [(l, [x * s ** (p - l) for x in hl[1:]]) for l, hl in enumerate(h) if any(hl[1:])]
+    cols = [[r**l] for l in range(max((l for l, _ in pairs), default=0) + 1)]
+    pairs = [(cols[l], table) for l, table in pairs]
     den_a = 1
     for n in range(1, n_terms + 1):
-        total = sum(sum(map(mul, table[n_terms - n :], cols[l])) for l, table in tables.items())
+        total = sum(sum(map(mul, table, reversed(col))) for col, table in pairs)
         x = r + s * n
         denom = _poly_eval(indicial, x)
         if denom == 0:
@@ -203,11 +210,13 @@ def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
         q = denom * den_a  # a_n = -total / q; den_a grows to a multiple of its denominator
         m = lcm(den_a, abs(q) // gcd(total, q)) // den_a
         if m != 1:
-            cols = {l: list(map(mul, col, repeat(m))) for l, col in cols.items()}
+            for col in cols:
+                col[:] = map(mul, col, repeat(m))
             den_a *= m
         num = -total * den_a // q
-        for l, col in cols.items():
-            col.append(num * x**l)
+        for col in cols:  # num x^l, by a running product
+            col.append(num)
+            num *= x
     return QExpansion._from_ints(root, cols[0], den_a)
 
 
@@ -215,7 +224,9 @@ def fundamental_system(equation: MLDE, n_terms: int) -> VVMF:
     """One Frobenius solution per indicial root, packaged as a vvmf.
 
     Requires rational, distinct roots inside [0, 1); distinctness there rules
-    out resonance since no two roots can differ by a nonzero integer.
+    out resonance since no two roots can differ by a nonzero integer.  The
+    roots are checked before anything of size N is built; the first solve
+    builds the operator's theta-form and the others read it from the cache.
     """
     ind = indicial_polynomial(equation)
     if not ind.all_rational:
@@ -225,9 +236,7 @@ def fundamental_system(equation: MLDE, n_terms: int) -> VVMF:
         raise RootsNotDistinct(f"indicial roots {', '.join(map(str, roots))} are not distinct")
     if any(not 0 <= r < 1 for r in roots):
         raise RootsOutOfRange(f"indicial roots {', '.join(map(str, roots))} not all in [0, 1)")
-    rep = RepData.make(roots)
-    comps = [solve_frobenius(equation, r, n_terms) for r in roots]
-    return VVMF.make(equation.weight, rep, comps)
+    return VVMF.make(equation.weight, RepData.make(roots), [solve_frobenius(equation, r, n_terms) for r in roots])
 
 
 def weight_relation_check(weight: int, exponents) -> bool:
@@ -241,10 +250,10 @@ def mlde_from_exponents(exponents) -> MLDE:
     """Rebuild the unique MLDE with the given indicial roots (p <= 5).
 
     The weight comes from the root sum.  The constant terms g_j(oo) come
-    from matching the indicial polynomial to prod (lambda - m_j): the partial
-    products prod_{l<j} (lambda - (k_0+2l)/12) are monic of degree j, so
-    each g_j(oo), j = p-2 down to 0, is read off the difference once the
-    terms above it are subtracted.  Through order 5 each g_j lies in a
+    from matching the indicial polynomial to prod (lambda - m_j).  In
+    mu = d lambda, d = lcm(12, denominators), the partial products are monic
+    int polynomials of degree j, so each c_j = d^(p-j) g_j(oo), j = p-2 down
+    to 0, is an int read off the difference once the terms above it go.  Through order 5 each g_j lies in a
     one-dimensional M_{2(p-j)} whose monomial has constant term 1, so the
     constants determine the operator.
     """
@@ -262,11 +271,12 @@ def mlde_from_exponents(exponents) -> MLDE:
     if k0.denominator != 1:
         raise NonIntegralWeight(f"weight relation gives k_0 = {k0}")
     k0 = int(k0)
-    partial = _partial_products([Fraction(k0 + 2 * l, 12) for l in range(p)])
-    rest = list(map(sub, _partial_products(ms)[p], partial[p]))
-    consts = [Fraction(0)] * (p - 1)
+    d = lcm(12, *(m.denominator for m in ms))
+    partial = _partial_products([(k0 + 2 * l) * d // 12 for l in range(p)])
+    rest = list(map(sub, _partial_products([m.numerator * (d // m.denominator) for m in ms])[p], partial[p]))
+    consts = [0] * (p - 1)
     for j in range(p - 2, -1, -1):
-        # partial[j] is monic of degree j: c partial[j] clears lambda^j, and rest keeps the degrees below
+        # partial[j] is monic of degree j: c partial[j] clears mu^j, and rest keeps the degrees below
         c = consts[j] = rest[j]
         rest = list(map(sub, rest, map(mul, repeat(c), partial[j])))
     coeffs = []
@@ -275,7 +285,7 @@ def mlde_from_exponents(exponents) -> MLDE:
         if len(basis) != 1:
             raise OrderTooLarge(f"M_{2 * (p - j)} is not one-dimensional; supply coefficients")
         u, v = basis[0]
-        coeffs.append(PolynomialQR.monomial(u, v, consts[j]))
+        coeffs.append(PolynomialQR.monomial(u, v, Fraction(consts[j], d ** (p - j))))
     return MLDE.make(k0, p, coeffs)
 
 

@@ -46,6 +46,12 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
+def _nonnegative(order: int) -> None:
+    """Refuse a negative truncation order, the one rule of every entry point that takes one."""
+    if order < 0:
+        raise CannotExtend("truncation order must be nonnegative")
+
+
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """First len(a) coefficients of a*b (len(a) == len(b)) by one big multiply.
 
@@ -218,8 +224,7 @@ class QExpansion(Record):
 
     def truncate(self, order: int) -> QExpansion:
         """Drop coefficients beyond the given truncation order."""
-        if order < 0:
-            raise CannotExtend("truncation order must be nonnegative")
+        _nonnegative(order)
         if order > self.truncation_order:
             raise CannotExtend(
                 f"series known to order {self.truncation_order}, cannot extend to {order}"

@@ -51,6 +51,12 @@ def test_harness_pairs_trees_round_by_round(tmp_path):
         {"min_s": 1.0, "median_s": 1.0},
         {"min_s": second["min_s"] / first["min_s"], "median_s": second["median_s"] / first["median_s"]},
     ]
+    # each round's time over the first tree's in the same round
+    assert case["rounds_over_first_tree"][0] == {"ratios": [1.0, 1.0], "median": 1.0, "min": 1.0, "max": 1.0}
+    paired = [b / a for a, b in zip(first["times_s"], second["times_s"])]
+    assert case["rounds_over_first_tree"][1] == {
+        "ratios": paired, "median": statistics.median(paired), "min": min(paired), "max": max(paired),
+    }
 
 
 def test_harness_fails_on_a_failed_check(tmp_path):

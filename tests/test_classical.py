@@ -19,8 +19,8 @@ from modforms.classical import (
     serre_derivative_poly,
     to_qexpansion,
 )
-from modforms.errors import AmbiguousTruncation, NotInM, OddWeight
-from modforms.mlde import mlde_from_exponents, solve_frobenius
+from modforms.errors import AmbiguousTruncation, CannotExtend, NotInM, OddWeight
+from modforms.mlde import fundamental_system, mlde_from_exponents, solve_frobenius, verify_solution
 from modforms.qseries import QExpansion
 
 F = Fraction
@@ -288,3 +288,30 @@ def test_polynomial_rejects_floats():
     third = PolynomialQR.make(4, {(1, 0): "1/3"})
     assert third == PolynomialQR.monomial(1, 0, F(1, 3)) == q.scale("1/3")
     assert q.scale(3) == PolynomialQR.make(4, {(1, 0): 3})
+
+
+README_EQUATION = mlde_from_exponents([0, F(5, 6)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_frobenius(README_EQUATION, 0, -1),
+        lambda: fundamental_system(README_EQUATION, -1),
+        lambda: eisenstein("Q", -1),
+        lambda: delta(-1),
+        lambda: eta_power(3, -1),
+        lambda: euler_product(-2),
+        lambda: to_qexpansion(PolynomialQR.monomial(1, 0), -1),
+        lambda: to_qexpansion(PolynomialQR.zero(4), -1),
+        lambda: serre_derivative(eisenstein("Q", 8), 4, -1),
+        lambda: verify_solution(README_EQUATION, eisenstein("Q", 8), -1),
+    ],
+    ids=[
+        "solve_frobenius", "fundamental_system", "eisenstein", "delta", "eta_power", "euler_product",
+        "to_qexpansion", "to_qexpansion_zero", "serre_derivative", "verify_solution",
+    ],
+)
+def test_negative_truncation_is_refused(call):
+    with pytest.raises(CannotExtend, match="truncation order must be nonnegative"):
+        call()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modforms.classical import PolynomialQR, _sigma, eisenstein, eta_power, monomial_basis, to_qexpansion
+from modforms.classical import PolynomialQR, _sigma, _theta_form, eisenstein, eta_power, monomial_basis, to_qexpansion
 from modforms.errors import (
     IrrationalRoots,
     NonIntegralWeight,
@@ -22,7 +22,6 @@ from modforms.linalg import _poly_divmod, _poly_eval, _poly_mul
 from modforms.mlde import (
     MLDE,
     IndicialData,
-    _indicial_coefficients,
     _rational_roots,
     fundamental_system,
     indicial_polynomial,
@@ -34,6 +33,12 @@ from modforms.mlde import (
 from modforms.qseries import QExpansion
 
 F = Fraction
+
+
+def theta_indicial(equation):
+    """I(lambda) as the constant terms of the operator's theta-form: the oracle of the Newton form."""
+    den, h = _theta_form(equation.to_skew().terms, equation.weight, 0)
+    return tuple(Fraction(hl[0], den) for hl in h)
 
 
 def order2(k0, c):
@@ -213,7 +218,7 @@ def test_weight_relation_is_automatic():
 def fraction_frobenius(equation, root, n_terms):
     """Reference solver: the b[j][n] table of D^j f coefficients in Fraction arithmetic."""
     root = F(root)
-    poly = _indicial_coefficients(equation)
+    poly = theta_indicial(equation)
 
     def indicial(x):
         return sum(c * x**i for i, c in enumerate(poly))
@@ -280,7 +285,7 @@ def test_frobenius_matches_fraction_recursion_large_denominators():
     offsets = [F(k0 + 2 * l, 12) for l in range(3)]
     c0 = -((root - offsets[0]) * (root - offsets[1]) * (root - offsets[2]) + c1 * (root - offsets[0]))
     eq = MLDE.make(k0, 3, [PolynomialQR.monomial(0, 1, c0), PolynomialQR.monomial(1, 0, c1)])
-    assert _indicial_coefficients(eq)[0].denominator > 2**100
+    assert theta_indicial(eq)[0].denominator > 2**100
     sol = solve_frobenius(eq, root, 40)
     assert sol == fraction_frobenius(eq, root, 40)
     assert max(c.denominator for c in sol.coeffs).bit_length() > 1000
@@ -336,7 +341,7 @@ def reference_rational_roots(poly):
 def test_indicial_roots_match_reference_on_every_twelfth_root_set():
     for exponents in ADMISSIBLE:
         eq = mlde_from_exponents(exponents)
-        poly = _indicial_coefficients(eq)
+        poly = theta_indicial(eq)
         roots = tuple(reference_rational_roots(poly))
         assert indicial_polynomial(eq) == IndicialData(poly, roots, len(roots) == eq.order)
 
@@ -398,3 +403,50 @@ def test_frobenius_errors_match_fraction_recursion(equation, root, error):
     with pytest.raises(error) as reference:
         fraction_frobenius(equation, root, 8)
     assert str(new.value) == str(reference.value)
+
+
+# -- the equation's set-up: Newton form, one theta-form per system --
+
+def random_equation(rng, p):
+    """An order-p MLDE at a random weight with random constants g_j(oo), some zero."""
+    coeffs = []
+    for j in range(p - 1):
+        u, v = monomial_basis(2 * (p - j))[0]
+        c = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) if rng.randint(0, 4) else 0
+        coeffs.append(PolynomialQR.monomial(u, v, c))
+    return MLDE.make(rng.randint(-6, 14), p, coeffs)
+
+
+def test_newton_form_matches_theta_form():
+    for exponents in ADMISSIBLE:
+        eq = mlde_from_exponents(exponents)
+        assert indicial_polynomial(eq).poly == theta_indicial(eq), exponents
+    rng = random.Random(23)
+    for _ in range(120):
+        eq = random_equation(rng, rng.randint(1, 5))
+        assert indicial_polynomial(eq).poly == theta_indicial(eq), eq
+
+
+def test_one_theta_form_per_system():
+    eq = mlde_from_exponents([F(1, 12), F(5, 12), F(9, 12)])
+    _theta_form.cache_clear()
+    indicial_polynomial(eq)
+    assert _theta_form.cache_info().misses == 0
+    fundamental_system(eq, 20)
+    assert _theta_form.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "equation, error",
+    [
+        (MLDE.make(5, 3, [PolynomialQR.monomial(0, 1, F(3, 7)), PolynomialQR.monomial(1, 0, F(1, 5))]), IrrationalRoots),
+        (order2(4, F(1, 144)), RootsNotDistinct),
+        (order2(5, F(-35, 144)), RootsOutOfRange),
+    ],
+    ids=["irrational", "repeated", "out_of_range"],
+)
+def test_fundamental_system_refuses_before_building(equation, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        fundamental_system(equation, 10**6)
+    assert time.perf_counter() - start < 0.1

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from modforms.classical import PolynomialQR, dim_M, from_qexpansion, monomial_basis, to_qexpansion
 from modforms.errors import AmbiguousTruncation, NotInM
-from modforms.mlde import MLDE, _partial_products, mlde_from_exponents
+from modforms.mlde import MLDE, mlde_from_exponents
 from modforms.qseries import QExpansion
 
 F = Fraction
@@ -97,13 +97,25 @@ def test_from_qexpansion_matches_elimination():
                     assert got == ("returned", m)
 
 
+def fraction_partials(offsets):
+    """[prod_{l<j} (lambda - offsets[l]) for j = 0..len(offsets)], ascending, in Fractions."""
+    partial = [[Fraction(1)]]
+    for w in offsets:
+        prev = partial[-1]
+        partial.append([Fraction(0)] * (len(prev) + 1))
+        for i, c in enumerate(prev):
+            partial[-1][i] -= w * c
+            partial[-1][i + 1] += c
+    return partial
+
+
 def reference_mlde(exponents):
     """The constants g_j(oo) from one solve against the partial products as columns."""
     ms = [Fraction(m) for m in exponents]
     p = len(ms)
     k0 = int(Fraction(12, p) * sum(ms) - p + 1)
-    partial = _partial_products([Fraction(k0 + 2 * l, 12) for l in range(p)])
-    target = _partial_products(ms)[p]
+    partial = fraction_partials([Fraction(k0 + 2 * l, 12) for l in range(p)])
+    target = fraction_partials(ms)[p]
     a = [[partial[j][i] if i <= j else 0 for j in range(p - 1)] for i in range(p + 1)]
     consts = reference_solve(a, [t - c for t, c in zip(target, partial[p])])
     coeffs = []
