@@ -191,7 +191,7 @@ def solve_frobenius(equation: MLDE, root, n_terms: int) -> QExpansion:
     root = Fraction(root)
     r, s = root.numerator, root.denominator
     _, h = _theta_form(equation.to_skew().terms, equation.weight, n_terms)
-    p = len(h) - 1
+    p = equation.order
     # den s^p I(x / s), an integer polynomial in x
     indicial = [hl[0] * s ** (p - l) for l, hl in enumerate(h)]
     if _poly_eval(indicial, r) != 0:
@@ -249,13 +249,13 @@ def weight_relation_check(weight: int, exponents) -> bool:
 def mlde_from_exponents(exponents) -> MLDE:
     """Rebuild the unique MLDE with the given indicial roots (p <= 5).
 
-    The weight comes from the root sum.  The constant terms g_j(oo) come
-    from matching the indicial polynomial to prod (lambda - m_j).  In
-    mu = d lambda, d = lcm(12, denominators), the partial products are monic
-    int polynomials of degree j, so each c_j = d^(p-j) g_j(oo), j = p-2 down
-    to 0, is an int read off the difference once the terms above it go.  Through order 5 each g_j lies in a
-    one-dimensional M_{2(p-j)} whose monomial has constant term 1, so the
-    constants determine the operator.
+    The weight comes from the root sum.  The constants g_j(oo) come from
+    matching I to prod (lambda - m_j).  In mu = d lambda, d = lcm(12,
+    denominators), the partial products are monic int polynomials of
+    degree j, so each c_j = d^(p-j) g_j(oo), j = p-2 down to 0, is an int
+    read off the difference once the terms above it are subtracted.
+    Through order 5 each g_j lies in a one-dimensional M_{2(p-j)} whose
+    monomial has constant term 1, so the constants determine the operator.
     """
     ms = [Fraction(m) for m in exponents]
     p = len(ms)

@@ -47,7 +47,7 @@ def _coerce(c) -> Fraction:
 
 
 def _nonnegative(order: int) -> None:
-    """Refuse a negative truncation order, the one rule of every entry point that takes one."""
+    """Refuse a negative truncation order: the one check of the functions that take one."""
     if order < 0:
         raise CannotExtend("truncation order must be nonnegative")
 
