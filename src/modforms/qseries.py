@@ -123,10 +123,12 @@ class QExpansion(Record):
     @staticmethod
     def zero(order: int = DEFAULT_TERMS) -> QExpansion:
         """The canonical zero series, known through q^order."""
+        _nonnegative(order)
         return QExpansion._from_ints(Fraction(0), (0,) * (order + 1))
 
     @staticmethod
     def one(order: int = DEFAULT_TERMS) -> QExpansion:
+        _nonnegative(order)
         return QExpansion._from_ints(Fraction(0), (1,) + (0,) * order)
 
     @property

@@ -306,10 +306,12 @@ README_EQUATION = mlde_from_exponents([0, F(5, 6)])
         lambda: to_qexpansion(PolynomialQR.zero(4), -1),
         lambda: serre_derivative(eisenstein("Q", 8), 4, -1),
         lambda: verify_solution(README_EQUATION, eisenstein("Q", 8), -1),
+        lambda: QExpansion.zero(-2),
+        lambda: QExpansion.one(-1),
     ],
     ids=[
         "solve_frobenius", "fundamental_system", "eisenstein", "delta", "eta_power", "euler_product",
-        "to_qexpansion", "to_qexpansion_zero", "serre_derivative", "verify_solution",
+        "to_qexpansion", "to_qexpansion_zero", "serre_derivative", "verify_solution", "zero", "one",
     ],
 )
 def test_negative_truncation_is_refused(call):
