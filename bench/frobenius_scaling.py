@@ -98,7 +98,7 @@ def fraction_solve(equation, root, n_terms):
 
 
 def theta_indicial_vanishes(equation, exponents):
-    """Whether the constant terms of the operator's theta-form, I(lambda) times its den, vanish at every exponent."""
+    """Whether the theta-form's constant terms, den I(lambda), vanish at every exponent."""
     from modforms.classical import _theta_form
 
     _, h = _theta_form(equation.to_skew().terms, equation.weight, 0)
@@ -110,7 +110,8 @@ def cases():
     from modforms.mlde import fundamental_system, indicial_polynomial, mlde_from_exponents, verify_solution
 
     def matches_fraction_solve(system, eq, n):
-        return [list(f.coeffs) for f in system.components] == [fraction_solve(eq, root, n) for root in indicial_polynomial(eq).roots]
+        roots = indicial_polynomial(eq).roots
+        return [list(f.coeffs) for f in system.components] == [fraction_solve(eq, root, n) for root in roots]
 
     for name, exponents in SETS.items():
         eq = mlde_from_exponents(exponents)

@@ -124,7 +124,8 @@ def main(cases):
         paired = []
         for row in rows:
             by_round = list(map(truediv, row["times_s"], rows[0]["times_s"]))
-            paired.append({"ratios": by_round, "median": statistics.median(by_round), "min": min(by_round), "max": max(by_round)})
+            spread = {"median": statistics.median(by_round), "min": min(by_round), "max": max(by_round)}
+            paired.append({"ratios": by_round, **spread})
         out[name] = {"trees": rows, "over_first_tree": ratios, "rounds_over_first_tree": paired}
     print(json.dumps({
         "python": platform.python_version(),

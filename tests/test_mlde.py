@@ -439,7 +439,8 @@ def test_one_theta_form_per_system():
 @pytest.mark.parametrize(
     "equation, error",
     [
-        (MLDE.make(5, 3, [PolynomialQR.monomial(0, 1, F(3, 7)), PolynomialQR.monomial(1, 0, F(1, 5))]), IrrationalRoots),
+        (MLDE.make(5, 3, [PolynomialQR.monomial(0, 1, F(3, 7)), PolynomialQR.monomial(1, 0, F(1, 5))]),
+         IrrationalRoots),
         (order2(4, F(1, 144)), RootsNotDistinct),
         (order2(5, F(-35, 144)), RootsOutOfRange),
     ],
