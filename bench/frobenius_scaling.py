@@ -20,20 +20,42 @@ Sets: ``(0, 5/6)`` (order 2, weight 4, the README example),
 At the sizes of the perfbench workloads (``WORKLOAD_SETS``: one low-height
 and one high-height set per order, at the free_basis levels of N and then
 the mlde N grid; order 1 has only low-height sets) it times the set-up an
-op pays, ``mlde_from_exponents`` followed by ``fundamental_system`` with
-the theta-form cache emptied before every call (``setup+solve``, checked
-against ``fraction_solve``).  For every set of both tables it times
+op pays, ``mlde_from_exponents`` followed by ``fundamental_system``, checked
+against ``fraction_solve``: ``setup+solve`` empties the theta-form cache and
+the Serre tower's levels before every call, ``setup+solve warm tower`` only
+the theta-form cache, so the levels D^j of the equation's weight are
+already built, as for an op whose weight and N an earlier op has met.  For
+the first set of each order at the same N's, ``theta_form cold`` and
+``theta_form warm`` time ``_theta_form`` alone the same two ways; the form
+must act on eta like the sum of c_j D^j with every D one
+``serre_derivative``.  A tree whose ``_theta_form`` rebuilds its tower on
+every call has no ``_serre_tower``, and there both rows time the same
+build.  For every set of both tables it times
 ``mlde_from_exponents`` alone (the theta-form's constant terms, the oracle
 of the indicial polynomial, must vanish at every exponent) and
 ``indicial_polynomial`` alone (its roots must be the set; it reads the
 equation's constants, builds no theta-form, and its time is the Newton
 form and the root search).  Last, ``serre_derivative`` of eta^13 at weight
 13/2, which must vanish, at N 176 and 512.
+
+    PYTHONPATH=TREE/src python3 bench/frobenius_scaling.py --tower-memory
+
+prints instead, as JSON, how many tower levels the theta-forms of every
+equation of the mlde and the free_basis workloads build (every admissible
+set at every N of ``MLDE_N`` and ``FREE_BASIS_N``) and the memory their
+cache holds, by ``tracemalloc``: the traced size before and after emptying
+it.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
+import json
+import sys
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import harness
 from harness import Case
@@ -56,6 +78,31 @@ WORKLOAD_SETS = {
     "0,2/12,6/12,8/12": ((F(0), F(2, 12), F(6, 12), F(8, 12)), (28, 40)),
     "1/12,4/12,7/12,8/12": ((F(1, 12), F(4, 12), F(7, 12), F(8, 12)), (28, 40)),
 }
+
+#: The perfbench Sizes: the mlde N grid and the free_basis N levels of each order.
+MLDE_N = {1: (160, 224), 2: (64, 96), 3: (40, 56), 4: (28, 40)}
+FREE_BASIS_N = {1: (32, 40), 2: (24, 32), 3: (20, 24)}
+
+
+def clear_forms(tower):
+    """Empty the theta-form cache and, if ``tower``, the Serre tower's levels."""
+    from modforms import classical
+
+    classical._theta_form.cache_clear()
+    if tower and hasattr(classical, "_serre_tower"):
+        classical._serre_tower.cache_clear()
+
+
+def acts_like_chained_derivatives(form, equation, n):
+    """Whether the theta-form acts on eta like sum_j c_j D^j, with every D one serre_derivative."""
+    from modforms.classical import _apply_theta_form, eta_power, serre_derivative, to_qexpansion
+
+    f = eta_power(1, n)
+    powers = [f]
+    for j in range(equation.order):
+        powers.append(serre_derivative(powers[-1], equation.weight + 2 * j))
+    want = functools.reduce(add, (to_qexpansion(c, n) * powers[j] for j, c in equation.to_skew().terms))
+    return _apply_theta_form(*form, f) == want
 
 
 def fraction_solve(equation, root, n_terms):
@@ -128,15 +175,29 @@ def cases():
                 lambda: [verify_solution(eq, f, n) for f in system.components],
                 check=lambda reports: all(report.ok for report in reports),
             )
+    orders = set()
     for name, (exponents, sizes) in WORKLOAD_SETS.items():
         eq = mlde_from_exponents(exponents)
         for n in sizes:
-            yield Case(
-                f"setup+solve ({name}) N{n}",
-                lambda: fundamental_system(mlde_from_exponents(exponents), n),
-                check=lambda out: matches_fraction_solve(out, eq, n),
-                before=_theta_form.cache_clear,
-            )
+            for label, tower in (("setup+solve", True), ("setup+solve warm tower", False)):
+                yield Case(
+                    f"{label} ({name}) N{n}",
+                    lambda: fundamental_system(mlde_from_exponents(exponents), n),
+                    check=lambda out: matches_fraction_solve(out, eq, n),
+                    before=functools.partial(clear_forms, tower),
+                )
+        if eq.order in orders:
+            continue
+        orders.add(eq.order)
+        terms = eq.to_skew().terms
+        for n in sizes:
+            for label, tower in (("cold", True), ("warm", False)):
+                yield Case(
+                    f"theta_form {label} (order {eq.order}, {name}) N{n}",
+                    lambda: _theta_form(terms, eq.weight, n),
+                    check=lambda form: acts_like_chained_derivatives(form, eq, n),
+                    before=functools.partial(clear_forms, tower),
+                )
     for name, exponents in {**SETS, **{name: exponents for name, (exponents, _) in WORKLOAD_SETS.items()}}.items():
         eq = mlde_from_exponents(exponents)
         yield Case(
@@ -150,5 +211,43 @@ def cases():
         yield Case(f"serre_derivative eta^13 N{n}", lambda: serre_derivative(f, Fraction(13, 2)), check=lambda out: out.is_zero)
 
 
+def tower_memory():
+    """Tower levels and their tracemalloc size over the theta-forms of every mlde and free_basis equation."""
+    import tracemalloc
+
+    from modforms.classical import _serre_tower, _theta_form
+    from modforms.mlde import mlde_from_exponents
+
+    def admissible(p, min_weight):
+        for c in combinations(range(12), p):
+            k0 = Fraction(sum(c), p) - p + 1
+            if k0.denominator == 1 and (min_weight is None or k0 >= min_weight):
+                yield [Fraction(i, 12) for i in c]
+
+    out = {}
+    tracemalloc.start()
+    for workload, grid, min_weight in (("mlde", MLDE_N, None), ("free_basis", FREE_BASIS_N, 0)):
+        clear_forms(True)
+        equations = 0
+        for p, sizes in grid.items():
+            for exponents in admissible(p, min_weight):
+                eq = mlde_from_exponents(exponents)
+                for n in sizes:
+                    _theta_form(eq.to_skew().terms, eq.weight, n)
+                    equations += 1
+        _theta_form.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        levels = _serre_tower.cache_info().currsize
+        _serre_tower.cache_clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+        out[workload] = {"equations": equations, "levels": levels, "bytes": held, "mib": round(held / 2**20, 3)}
+    return out
+
+
 if __name__ == "__main__":
-    harness.main(cases)
+    if sys.argv[1:] == ["--tower-memory"]:
+        print(json.dumps(tower_memory(), indent=1))
+    else:
+        harness.main(cases)

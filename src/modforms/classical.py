@@ -12,7 +12,8 @@ the integer series Q^u R^v (`_monomial`), and the Serre derivative
 which raises weight by 2.  P is the weight-2 quasimodular series
 -1/12 + 2*sum_n sigma_1(n) q^n; this normalization is the one pinned down
 by the identities D(Delta) = 0 and D(eta^2k) = 0.  Every operator of M[d]
-acts through one integer theta-form sum_l h_l theta^l (`_theta_form`).
+acts through one integer theta-form sum_l h_l theta^l (`_theta_form`), a
+sum over the cached levels D^j of the Serre tower of its weight (`_serre_tower`).
 """
 
 from __future__ import annotations
@@ -296,43 +297,52 @@ def _apply_theta_form(den: int, h: tuple, f: QExpansion) -> QExpansion:
     return QExpansion._from_ints(f.leading, acc, den * s ** (len(h) - 1) * d)
 
 
+@functools.lru_cache(maxsize=None)
+def _serre_tower(k, j: int, n: int) -> tuple[int, tuple]:
+    """D^j at weight k as sum_l rows[l] theta^l / den: (den, rows), each row a tuple of n + 1 ints.
+
+    Level j is the Serre step D = theta + w P, w = k + 2(j - 1), on level
+    j - 1: with a = 12 den(w) and b = num(w), row_l -> a theta(row_l) +
+    b (12P row_l) + a row_{l-1} and den -> a den.  Keyed on (k, j, n) like
+    `_monomial`, so the operators of one weight and truncation share a level.
+    """
+    zero = (0,) * (n + 1)
+    if not j:
+        return 1, ((1, *zero[1:]),)
+    den, rows = _serre_tower(k, j - 1, n)
+    w = k + 2 * (j - 1)
+    a, b = 12 * w.denominator, w.numerator
+    p12, ramp = eisenstein("P", n).nums, range(n + 1)
+    return a * den, tuple(
+        tuple([a * (i * x + z) + b * y for i, x, y, z in zip(ramp, hl, _int_product(hl, p12), prev)])
+        for hl, prev in zip((*rows, zero), (zero, *rows))
+    )
+
+
 @functools.lru_cache(maxsize=4)
 def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
     """Skew polynomial ``terms`` ((j, c_j) pairs) at weight k as sum_l h[l] theta^l / den.
 
-    Returns (den, h), each h[l] a tuple of n + 1 int numerators.  T_0 = 1 and
-    T_{j+1} = D T_j, by the one Serre step D = theta + w P, w = k + 2j: with
-    a = 12 den(w) and b = num(w), h_l -> a theta(h_l) + b (12P h_l) + a h_{l-1},
-    den -> a den.  Each c_j enters as to_qexpansion(c_j) times T_j.  Cached:
-    a fundamental system builds its form once, in the solve of its first
-    root, and the other roots' solves and `verify_solution` on every
-    component read it (the indicial polynomial comes from the equation's
-    constants, not from a form).  The result is all tuples, so no caller can
-    change a cached form.
+    Returns (den, h), each h[l] a tuple of n + 1 int numerators: the sum of
+    to_qexpansion(c_j) times the level D^j of `_serre_tower`, over one lcm.
+    Cached: a fundamental system builds its form once, and the solves of its
+    other roots and `verify_solution` on every component read it.  The
+    result is all tuples, so no caller can change a cached form.
     """
     k = Fraction(k)
-    p12 = eisenstein("P", n).nums
-    zero, ramp = [0] * (n + 1), range(n + 1)
-    tower, tower_den = [[1] + zero[1:]], 1
-    den, h = 1, []
+    den, h = 1, ()
     for j, c in terms:
-        while len(tower) <= j:
-            w = k + 2 * (len(tower) - 1)
-            a, b = 12 * w.denominator, w.numerator
-            tower = [
-                [a * (i * x + z) + b * y for i, x, y, z in zip(ramp, hl, _int_product(hl, p12), prev)]
-                for hl, prev in zip(tower + [zero], [zero] + tower)
-            ]
-            tower_den *= a
+        tower_den, tower = _serre_tower(k, j, n)
         c = to_qexpansion(c, n)
         u = math.lcm(den, c.den * tower_den) // den
         v = den * u // (c.den * tower_den)
-        h = [
-            [u * x + v * y for x, y in zip(hl, _int_product(c.nums, t))]
-            for hl, t in zip_longest(h, tower, fillvalue=zero)
-        ]
+        vc = list(map(mul, repeat(v), c.nums))
+        h = tuple(
+            tuple([u * x + y for x, y in zip(hl, _int_product(vc, t))])
+            for hl, t in zip_longest(h, tower, fillvalue=(0,) * (n + 1))
+        )
         den *= u
-    return den, tuple(map(tuple, h))
+    return den, h
 
 
 def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
@@ -346,9 +356,10 @@ def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
     n, scale = len(f.nums), 12 * k.denominator
-    # One level, written here rather than built by `_theta_form`: through its
-    # tower an uncached call took 127 instead of 72 us at N 64, 325 instead of
-    # 215 us at N 176 (E4 at weight 4, best of 300; 2-core VM, Python 3.11).
+    # One level, written here rather than read from `_serre_tower`: through
+    # `_theta_form` a call took 161 (level built) or 125 (level cached) instead
+    # of 90 us at N 64, 420 or 356 instead of 277 us at N 176 (E4 at weight 4,
+    # best of 300; 2-core x86_64 VM, Python 3.11).
     h = (list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1))
     return _apply_theta_form(scale, h, f)
 

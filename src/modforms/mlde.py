@@ -17,10 +17,10 @@ come from bisection under Descartes' rule of signs (`_rational_roots`): no
 factoring and no divisor search, so the time is polynomial in the size of
 the coefficients.  Solving and verifying share the operator's theta-form
 sum_l h_l theta^l / den on integers (`classical._theta_form`), built once
-per fundamental system: the Frobenius recursion is integer dot products
-against the h_l, and `verify_solution` applies the form.  The converse
-direction rebuilds the operator from prescribed exponents while the
-coefficient spaces M_4..M_10 are one-dimensional.
+per system from the tower D^j shared by all equations of one weight and N:
+the Frobenius recursion is integer dot products against the h_l, and
+`verify_solution` applies the form.  The converse direction rebuilds the
+operator from exponents while M_4..M_10 are one-dimensional.
 """
 
 from __future__ import annotations

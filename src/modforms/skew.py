@@ -9,8 +9,8 @@ with the commutation rule
 
 iterated via d^i f = sum_r binom(i, r) D^r(f) d^(i-r).  Applied to a
 q-expansion regarded at weight k, each d acts as the Serre derivative at
-the current weight, rightmost first; `apply` builds the operator's integer
-theta-form sum_l h_l theta^l (`classical._theta_form`) once per call.
+the current weight, rightmost first: `apply` acts by the integer theta-form
+sum_l h_l theta^l (`classical._theta_form`) on the shared D^j levels at k.
 """
 
 from __future__ import annotations

@@ -85,11 +85,10 @@ def validate(form: VVMF) -> ValidationReport:
         if f.is_zero:
             checks.append(ComponentCheck(j, True, "zero component"))
             continue
-        gap = f.normalized().leading - m
+        leading = f.leading + next(i for i, x in enumerate(f.nums) if x)
+        gap = leading - m
         if gap.denominator != 1:
-            checks.append(
-                ComponentCheck(j, False, f"leading {f.normalized().leading} not congruent to {m} mod 1")
-            )
+            checks.append(ComponentCheck(j, False, f"leading {leading} not congruent to {m} mod 1"))
         elif gap < 0:
             checks.append(ComponentCheck(j, False, f"meromorphic at infinity: leading below {m}"))
         else:

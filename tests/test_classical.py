@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from modforms.classical import (
     PolynomialQR,
+    _apply_theta_form,
     _monomial,
+    _serre_tower,
     _theta_form,
     delta,
     dim_M,
@@ -189,6 +192,29 @@ def test_theta_form_is_immutable():
     assert type(den) is int and type(h) is tuple
     assert len(h) == 4 and all(type(hl) is tuple and len(hl) == 9 for hl in h)
     assert _theta_form(eq.to_skew().terms, eq.weight, 8)[1] is h
+
+
+def test_tower_levels_are_tuples_and_monic():
+    # levels are cached and shared by every operator of their weight, so they must be all tuples
+    for k, j, n in ((4, 0, 6), (F(13, 2), 3, 6), (-2, 4, 0), (F(-1, 2), 2, 17)):
+        den, rows = _serre_tower(k, j, n)
+        assert type(den) is int and type(rows) is tuple and len(rows) == j + 1
+        assert all(type(row) is tuple and len(row) == n + 1 for row in rows)
+        assert rows[-1] == (den,) + (0,) * n  # D^j = theta^j + lower powers
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, -5, F(13, 2), F(-1, 2)])
+def test_tower_matches_chained_serre_derivatives(k):
+    # level j applied to f is D^j f = D_{k+2(j-1)} ... D_{k+2} D_k f, one serre_derivative per step
+    rng = random.Random(25)
+    for n in (0, 1, 7, 24):
+        leading = F(rng.randint(-12, 24), rng.choice((1, 2, 12, 24)))
+        f = QExpansion.make([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(n + 1)], leading)
+        chained = f
+        for j in range(5):
+            den, rows = _serre_tower(k, j, n)
+            assert _apply_theta_form(den, rows, f) == chained, (k, n, j)
+            chained = serre_derivative(chained, k + 2 * j)
 
 
 def reference_to_qexpansion(m, terms):

@@ -1,14 +1,23 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modforms.classical import PolynomialQR, _sigma, _theta_form, eisenstein, eta_power, monomial_basis, to_qexpansion
+from modforms.classical import (
+    PolynomialQR,
+    _serre_tower,
+    _sigma,
+    _theta_form,
+    eisenstein,
+    eta_power,
+    monomial_basis,
+    to_qexpansion,
+)
 from modforms.errors import (
     IrrationalRoots,
     NonIntegralWeight,
@@ -30,7 +39,7 @@ from modforms.mlde import (
     verify_solution,
     weight_relation_check,
 )
-from modforms.qseries import QExpansion
+from modforms.qseries import QExpansion, _int_product
 
 F = Fraction
 
@@ -433,6 +442,63 @@ def test_one_theta_form_per_system():
     indicial_polynomial(eq)
     assert _theta_form.cache_info().misses == 0
     fundamental_system(eq, 20)
+    assert _theta_form.cache_info().misses == 1
+
+
+def per_call_theta_form(terms, k, n):
+    """The theta-form as built before its tower levels were shared: D^0..D^j rebuilt for every operator."""
+    k = F(k)
+    p12 = eisenstein("P", n).nums
+    zero, ramp = [0] * (n + 1), range(n + 1)
+    tower, tower_den = [[1] + zero[1:]], 1
+    den, h = 1, []
+    for j, c in terms:
+        while len(tower) <= j:
+            w = k + 2 * (len(tower) - 1)
+            a, b = 12 * w.denominator, w.numerator
+            tower = [
+                [a * (i * x + z) + b * y for i, x, y, z in zip(ramp, hl, _int_product(hl, p12), prev)]
+                for hl, prev in zip(tower + [zero], [zero] + tower)
+            ]
+            tower_den *= a
+        c = to_qexpansion(c, n)
+        u = lcm(den, c.den * tower_den) // den
+        v = den * u // (c.den * tower_den)
+        h = [
+            [u * x + v * y for x, y in zip(hl, _int_product(c.nums, t))]
+            for hl, t in zip_longest(h, tower, fillvalue=zero)
+        ]
+        den *= u
+    return den, tuple(map(tuple, h))
+
+
+def test_theta_form_matches_per_call_tower():
+    for n in (0, 1, 12, 40):
+        for exponents in ADMISSIBLE:
+            eq = mlde_from_exponents(exponents)
+            terms = eq.to_skew().terms
+            assert _theta_form(terms, eq.weight, n) == per_call_theta_form(terms, eq.weight, n), (exponents, n)
+
+
+def test_tower_levels_are_shared_across_systems():
+    # (0, 5/6) and (1/12, 9/12) are both order 2 at weight 4: the second system builds no level
+    first, second = (mlde_from_exponents(exponents) for exponents in ([F(0), F(5, 6)], [F(1, 12), F(9, 12)]))
+    assert first.weight == second.weight == 4
+    _serre_tower.cache_clear()
+    _theta_form.cache_clear()
+    fundamental_system(first, 20)
+    assert _serre_tower.cache_info().misses == 3  # D^0, D^1 and D^2 at weight 4 and N 20, each once
+    fundamental_system(second, 20)
+    assert _serre_tower.cache_info().misses == 3 and _serre_tower.cache_info().currsize == 3
+    assert _theta_form.cache_info().misses == 2  # still one form per system
+
+
+def test_verify_reads_the_systems_form():
+    eq = mlde_from_exponents([F(0), F(2, 12), F(6, 12), F(8, 12)])
+    _theta_form.cache_clear()
+    system = fundamental_system(eq, 24)
+    assert _theta_form.cache_info().misses == 1
+    assert all(verify_solution(eq, f, 24).ok for f in system.components)
     assert _theta_form.cache_info().misses == 1
 
 

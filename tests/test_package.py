@@ -1,6 +1,11 @@
 """The package's lazy exports: every public name resolves to its home module's object."""
 
+import functools
+import gc
 import importlib
+import pkgutil
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -67,3 +72,30 @@ def test_submodules_stay_importable(name):
     namespace = {}
     exec(f"from modforms import {name}", namespace)
     assert namespace[name] is importlib.import_module(f"modforms.{name}") is getattr(modforms, name)
+
+
+def test_cache_walk_empties_every_library_cache():
+    # perfbench's Library.clear_caches walks module globals, then __wrapped__, then calls cache_clear;
+    # a cache that walk cannot reach would carry warm-up state into a timed phase
+    for info in pkgutil.iter_modules(modforms.__path__):
+        importlib.import_module(f"modforms.{info.name}")
+    from modforms.classical import eta_power
+    from modforms.mlde import fundamental_system, mlde_from_exponents, verify_solution
+
+    eq = mlde_from_exponents([Fraction(1, 12), Fraction(5, 12), Fraction(9, 12)])
+    assert all(verify_solution(eq, f, 12).ok for f in fundamental_system(eq, 12).components)
+    eta_power(2, 8)
+    caches = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__.startswith("modforms")
+    ]
+    warm = {cache.__qualname__ for cache in caches if cache.cache_info().currsize}
+    assert {"_serre_tower", "_theta_form", "_monomial", "eisenstein", "eta_power", "euler_product"} <= warm
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modforms"):
+            for obj in list(vars(mod).values()):
+                while obj is not None and not hasattr(obj, "cache_clear"):
+                    obj = getattr(obj, "__wrapped__", None)
+                if obj is not None:
+                    obj.cache_clear()
+    assert [cache.__qualname__ for cache in caches if cache.cache_info().currsize] == []

@@ -67,6 +67,19 @@ def test_validate_pass_and_fail():
     assert validate(zero).ok
 
 
+def test_validate_reads_the_first_nonzero_term():
+    # leading zeros shift the exponent the messages report, as normalizing the series would
+    rep = RepData.make([F(5, 12)])
+    cases = [
+        (QExpansion.make([0, 0, 1, 3], leading=F(5, 12) - 1), True, "leading = m_j + 1"),
+        (QExpansion.make([0, 2], leading=F(5, 12) - 2), False, "meromorphic at infinity: leading below 5/12"),
+        (QExpansion.make([0, 0, 0, 7], leading=F(1, 3)), False, "leading 10/3 not congruent to 5/12 mod 1"),
+    ]
+    for f, ok, message in cases:
+        check = validate(VVMF.make(5, rep, [f])).components[0]
+        assert (check.ok, check.message) == (ok, message)
+
+
 def test_module_action():
     form = eta_form(1, 16)
     one = QExpansion.one(16)
