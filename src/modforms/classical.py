@@ -13,7 +13,7 @@ which raises weight by 2.  P is the weight-2 quasimodular series
 -1/12 + 2*sum_n sigma_1(n) q^n; this normalization is the one pinned down
 by the identities D(Delta) = 0 and D(eta^2k) = 0.  Every operator of M[d]
 acts through one integer theta-form sum_l h_l theta^l (`_theta_form`), a
-sum over the cached levels D^j of the Serre tower of its weight (`_serre_tower`).
+sum over the cached Serre tower levels D^j of its weight (`_serre_tower`).
 """
 
 from __future__ import annotations
