@@ -35,8 +35,11 @@ build.  For every set of both tables it times
 of the indicial polynomial, must vanish at every exponent) and
 ``indicial_polynomial`` alone (its roots must be the set; it reads the
 equation's constants, builds no theta-form, and its time is the Newton
-form and the root search).  Last, ``serre_derivative`` of eta^13 at weight
-13/2, which must vanish, at N 176 and 512.
+form and the root search).  ``indicial (large denominator)`` times it on
+the order-3 equation of ``large_denominator_equation``, whose constants
+have a 61-bit denominator and whose one rational root is 1000/1000003.
+Last, ``serre_derivative`` of eta^13 at weight 13/2, which must vanish, at
+N 176 and 512.
 
     PYTHONPATH=TREE/src python3 bench/frobenius_scaling.py --tower-memory
 
@@ -144,6 +147,17 @@ def fraction_solve(equation, root, n_terms):
     return a
 
 
+def large_denominator_equation():
+    """Order 3 at weight 5 with g_1(oo) = 1/(2^61 - 1), chosen so that 1000/1000003 is its one rational root."""
+    from modforms.classical import PolynomialQR
+    from modforms.mlde import MLDE
+
+    root, k0, c1 = F(1000, 1000003), 5, F(1, 2**61 - 1)
+    offsets = [F(k0 + 2 * l, 12) for l in range(3)]
+    c0 = -((root - offsets[0]) * (root - offsets[1]) * (root - offsets[2]) + c1 * (root - offsets[0]))
+    return MLDE.make(k0, 3, [PolynomialQR.monomial(0, 1, c0), PolynomialQR.monomial(1, 0, c1)])
+
+
 def theta_indicial_vanishes(equation, exponents):
     """Whether the theta-form's constant terms, den I(lambda), vanish at every exponent."""
     from modforms.classical import _theta_form
@@ -206,6 +220,10 @@ def cases():
             check=lambda out: theta_indicial_vanishes(out, exponents),
         )
         yield Case(f"indicial ({name})", lambda: indicial_polynomial(eq), check=lambda ind: ind.roots == exponents)
+    eq = large_denominator_equation()
+    yield Case(
+        "indicial (large denominator)", lambda: indicial_polynomial(eq), check=lambda ind: ind.roots == (F(1000, 1000003),)
+    )
     for n in SERRE_SIZES:
         f = eta_power(13, n)
         yield Case(f"serre_derivative eta^13 N{n}", lambda: serre_derivative(f, Fraction(13, 2)), check=lambda out: out.is_zero)

@@ -242,18 +242,20 @@ def from_qexpansion(f: QExpansion, weight: int, terms: int | None = None) -> Pol
     if terms is None:
         terms = f.truncation_order
     d = dim_M(weight)
-    if f.is_zero:
-        return PolynomialQR.zero(weight)
     if not d:
+        if f.is_zero:
+            return PolynomialQR.zero(weight)
         raise NotInM(f"M_{weight} is zero and the series is not")
     if terms + 1 < d:
         raise AmbiguousTruncation(
             f"{terms + 1} coefficients cannot determine a form in the {d}-dimensional M_{weight}"
         )
-    if f.leading.denominator != 1 or f.leading < 0:
+    if not f.is_zero and (f.leading.denominator != 1 or f.leading < 0):
         raise NotInM(f"leading exponent {f.leading} is not a nonnegative integer")
     if f.horizon < terms:
         raise AmbiguousTruncation(f"series only known through q^{f.horizon}, need q^{terms}")
+    if f.is_zero:
+        return PolynomialQR.zero(weight)
     # the numerators of f at q^0..q^terms
     lead = int(f.leading)
     known = [0] * min(lead, terms + 1) + list(f.nums[: max(terms + 1 - lead, 0)])

@@ -15,9 +15,9 @@ Arithmetic is exact and every entry is a minor whatever the pivot order,
 so no pivoting strategy beyond "first nonzero" is needed.
 
 Dense polynomials are coefficient lists in ascending degree, over ints or
-Fractions: product, Horner evaluation, the Taylor shift a(x + c) and
-division.  Division is by monic divisors only (leading coefficient 1), so
-it never divides a coefficient and int inputs give int outputs.
+Fractions: product, Horner evaluation and division.  Division is by monic
+divisors only (leading coefficient 1), so it never divides a coefficient
+and int inputs give int outputs.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ def _poly_eval(a: list, x):
     for c in a[-2::-1]:
         acc = acc * x + c
     return acc
-
-
-def _poly_shift(a: list, c) -> list:
-    """a(x + c), the Taylor shift, by repeated synthetic division."""
-    out = list(a)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return out
 
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:

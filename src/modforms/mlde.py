@@ -13,7 +13,9 @@ whose roots are the leading exponents of a fundamental system.  In
 mu = 12 lambda the offsets are ints, so `indicial_polynomial` sums int
 partial products (`_partial_products`) and divides once per coefficient;
 `mlde_from_exponents` inverts it on the same partials.  The rational roots
-come from bisection under Descartes' rule of signs (`_rational_roots`): no
+are integers of the cleared monic polynomial J, and Rolle's theorem finds
+them (`_rational_roots`): between brackets of the real roots of J', J is
+monotone, so one integer bisection per segment brackets its root there.  No
 factoring and no divisor search, so the time is polynomial in the size of
 the coefficients.  Solving and verifying share the operator's theta-form
 sum_l h_l theta^l / den on integers (`classical._theta_form`), built once
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, ne, sub
+from operator import add, mul, sub
 
 from . import skew
 from .classical import PolynomialQR, _theta_form, monomial_basis
@@ -42,34 +44,49 @@ from .errors import (
     RootsNotDistinct,
     RootsOutOfRange,
 )
-from .linalg import _poly_divmod, _poly_eval, _poly_shift
+from .linalg import _poly_divmod, _poly_eval
 from .qseries import QExpansion
 from .vvmf import VVMF, RepData
 
 
-def _descartes_signs(poly: list, lo: int, hi: int) -> list:
-    """Signs (True for > 0) of the nonzero coefficients of (1 + y)^deg poly((hi + lo y) / (1 + y)).
+def _brackets(poly: list, b: int) -> list:
+    """Sorted ints holding floor(x) and ceil(x) of every real root x of the int polynomial poly.
 
-    Its positive roots are poly's roots in the open interval (lo, hi), and by
-    Descartes' rule of signs they number the sign changes of this list less
-    an even count: none for no change, exactly one, simple, for one.  The
-    first sign is poly's just below hi, the last its sign just above lo.
+    Every complex root of poly must lie in |z| < b.  By Gauss-Lucas the roots
+    of poly' lie in the convex hull of poly's, so the same b bounds them.  No
+    root of poly' lies strictly between two of its brackets that are two or
+    more apart, so poly is monotone there (Rolle): it has a root only where
+    its signs at the two ends differ, and one integer bisection brackets it.
+    A gap of one may hold a root of poly' and so two of poly: both ends stay.
+    So every bracket has a neighbour, and a root of poly at a bracket of
+    poly' is the end of a gap of one.
     """
-    scaled = [c * (hi - lo) ** i for i, c in enumerate(_poly_shift(poly, lo))]
-    return [c > 0 for c in _poly_shift(scaled[::-1], 1) if c]
+    if len(poly) < 2:
+        return []
+    ends = sorted({-b, b, *_brackets([i * c for i, c in enumerate(poly)][1:], b)})
+    values = [_poly_eval(poly, x) for x in ends]
+    out = set()
+    for lo, hi, u, v in zip(ends, ends[1:], values, values[1:]):
+        if hi - lo > 1 and u * v < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (_poly_eval(poly, mid) > 0) == (u > 0):
+                    lo = mid
+                else:
+                    hi = mid
+        if hi - lo == 1:
+            out.update((lo, hi))
+    return sorted(out)
 
 
 def _rational_roots(poly) -> list:
     """All rational roots with multiplicity, sorted; nothing is factored.
 
     With d the lcm of the denominators of the monic I, J(x) = d^p I(x / d)
-    is a monic int polynomial, so its rational roots are integers, and each
-    lies below b = 2 max_l 2^ceil(bitlen(J_l) / (p - l)), above the Fujiwara
-    bound.  Bisecting (-b, b) keeps an interval while Descartes' rule allows
-    a root in it (Collins-Akritas) and tests each integer midpoint exactly.
-    An interval with one sign change holds one simple root, so it is halved
-    by the sign of J at the midpoint alone.  Each root found is divided out
-    as often as it divides.
+    is a monic int polynomial, so its rational roots are integers, and every
+    complex root lies below b = 2 max_l 2^ceil(bitlen(J_l) / (p - l)), above
+    the Fujiwara bound.  Each candidate of `_brackets(J, b)` is tested
+    exactly, and each root found is divided out as often as it divides.
     """
     work = list(poly)
     while work and not work[-1]:
@@ -81,38 +98,16 @@ def _rational_roots(poly) -> list:
     d = lcm(*(c.denominator for c in work))
     J = [int(c * d ** (p - l)) for l, c in enumerate(work)]
     b = 2 * max(2 ** -(-c.bit_length() // (p - l)) for l, c in enumerate(J[:-1]))
-    found, intervals = [], [(-b, b)]
-    while intervals:
-        lo, hi = intervals.pop()
-        if hi - lo < 2:
-            continue
-        signs = _descartes_signs(J, lo, hi)
-        changes = sum(map(ne, signs, signs[1:]))
-        if changes == 1:
-            # J keeps the sign signs[-1] from lo up to its one root in (lo, hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                value = _poly_eval(J, mid)
-                if not value:
-                    found.append(mid)
-                    break
-                if (value > 0) == signs[-1]:
-                    lo = mid
-                else:
-                    hi = mid
-        elif changes:
-            mid = (lo + hi) // 2
-            if not _poly_eval(J, mid):
-                found.append(mid)
-            intervals += [(lo, mid), (mid, hi)]
     roots = []
-    for r in found:
+    for r in _brackets(J, b):
+        if _poly_eval(J, r):
+            continue
         quot, rem = _poly_divmod(J, [-r, 1])
         while not rem[0]:
             roots.append(Fraction(r, d))
             J = quot
             quot, rem = _poly_divmod(J, [-r, 1])
-    return sorted(roots)
+    return roots
 
 
 # -- the equation ------------------------------------------------------------

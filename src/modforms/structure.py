@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
-from .classical import _collect, _monomial, dim_M, monomial_basis
+from .classical import _collect, _monomial, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange, Record
 from .qseries import _int_product
 
@@ -34,12 +34,6 @@ if TYPE_CHECKING:
 #: Denominator of every series here, as dense ascending coefficients; it is
 #: monic (leading coefficient +1), so `linalg._poly_divmod` divides by it.
 DENOMINATOR = (1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)  # (1-t^4)(1-t^6)
-
-
-def _dim(w: int) -> int:
-    if w < 0 or w % 2:
-        return 0
-    return dim_M(w)
 
 
 class PoincareSeries(Record):
@@ -93,18 +87,19 @@ def ps_coefficient(ps: PoincareSeries, w: int) -> int:
     Negative weights are allowed from the lowest generator weight on (a
     fundamental system can have k_0 < 0); below it they are rejected.
     """
-    lowest = ps.numerator[0][0] if ps.numerator else 0
-    if w < min(lowest, 0):
-        raise ValueError(f"weight {w} is below every generator weight")
-    return sum(c * _dim(w - e) for e, c in ps.numerator)
+    return _ps_coefficients(ps, w, w)[0]
 
 
 def _ps_coefficients(ps: PoincareSeries, lo: int, hi: int) -> list:
-    """[ps_coefficient(ps, w) for w from lo to hi], in one pass over the weights.
+    """The coefficients of t^lo..t^hi, in one pass over the weights.
 
     Multiplying by the denominator gives a_w = N_w + a_(w-4) + a_(w-6) - a_(w-10),
-    every a_w below the lowest weight being 0.
+    every a_w below the lowest weight being 0.  Like `ps_coefficient`, it
+    rejects a negative lo below the lowest generator weight.
     """
+    lowest = ps.numerator[0][0] if ps.numerator else 0
+    if lo < min(lowest, 0):
+        raise ValueError(f"weight {lo} is below every generator weight")
     num = dict(ps.numerator)
     start = min(lo, *num) if num else lo
     a = [0] * 10
@@ -319,24 +314,27 @@ def free_basis_verify(generators, k_max: int, n_terms: int) -> FreeBasisReport:
 
 def growth_bound(ps: PoincareSeries, p: int, k0: int, k_range: int) -> Fraction:
     """max over 0 <= k <= K of |dim(k0 + 2k) - pk/6|."""
-    best = Fraction(0)
-    for k in range(k_range + 1):
-        gap = abs(Fraction(ps_coefficient(ps, k0 + 2 * k)) - Fraction(p * k, 6))
-        if gap > best:
-            best = gap
-    return best
+    dims = _ps_coefficients(ps, k0, k0 + 2 * k_range)[::2]
+    return max((abs(dim - Fraction(p * k, 6)) for k, dim in enumerate(dims)), default=Fraction(0))
 
 
 def cyclic_criterion(form: VVMF) -> bool:
     """True iff every component leads exactly at its m_j and the m_j are distinct.
 
     This is the desk test for H(V) being cyclic over the skew ring, generated
-    by the form itself.
+    by the form itself.  A zero component known through q^(m_j) proves False;
+    one known only below it raises InsufficientTruncation, unless another
+    component proves False.
     """
     ms = form.rep.exponents
     if len(set(ms)) != len(ms):
         return False
+    short = None
     for f, m in zip(form.components, ms):
-        if f.is_zero or f.normalized().leading != m:
+        if f.is_zero and f.horizon < m:
+            short = f"a zero component is known through q^({f.horizon}), below its exponent {m}"
+        elif f.is_zero or f.normalized().leading != m:
             return False
+    if short:
+        raise InsufficientTruncation(short)
     return True

@@ -301,6 +301,23 @@ def test_from_qexpansion_where_M_w_is_zero():
         assert from_qexpansion(QExpansion.zero(10), w) == PolynomialQR.zero(w)
 
 
+DELTA_SQUARED = PolynomialQR.make(24, {(6, 0): F(1, 1728**2), (3, 2): F(-2, 1728**2), (0, 4): F(1, 1728**2)})
+
+
+@pytest.mark.parametrize(
+    "form, known_through",
+    [(PolynomialQR.make(12, {(3, 0): F(1, 1728), (0, 2): F(-1, 1728)}), 0), (DELTA_SQUARED, 1)],
+    ids=["delta_to_q0", "delta_squared_to_q1"],
+)
+def test_from_qexpansion_refuses_a_zero_known_below_dim_M(form, known_through):
+    # every known coefficient is 0, but dim M_w of them are needed to tell the form from zero
+    f = to_qexpansion(form, known_through)
+    assert f.is_zero
+    with pytest.raises(AmbiguousTruncation):
+        from_qexpansion(f, form.weight)
+    assert from_qexpansion(to_qexpansion(form, known_through + 1), form.weight) == form
+
+
 def test_polynomial_rejects_floats():
     q = PolynomialQR.monomial(1, 0)
     for bad in (

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from math import lcm
+from math import ceil, floor, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +31,7 @@ from modforms.linalg import _poly_divmod, _poly_eval, _poly_mul
 from modforms.mlde import (
     MLDE,
     IndicialData,
+    _brackets,
     _rational_roots,
     fundamental_system,
     indicial_polynomial,
@@ -399,6 +400,84 @@ def test_indicial_roots_of_large_denominator_equation():
     assert ind.roots == (root,) and not ind.all_rational
     with pytest.raises(IrrationalRoots):
         fundamental_system(eq, 8)
+
+
+def cleared(poly):
+    """(d, J, b) as `_rational_roots` forms them: J(x) = d^p I(x / d) for the monic I, and its root bound b."""
+    monic = [F(c) / poly[-1] for c in poly]
+    d = lcm(*(c.denominator for c in monic))
+    p = len(monic) - 1
+    J = [int(c * d ** (p - l)) for l, c in enumerate(monic)]
+    return d, J, 2 * max(2 ** -(-c.bit_length() // (p - l)) for l, c in enumerate(J[:-1]))
+
+
+def rolle_case(rng, kind):
+    """A scaled polynomial whose cleared J has roots where Rolle brackets can go wrong, and its rational roots.
+
+    "adjacent": n and n + 1/D.  Only the second has denominator D, so d = D and J has the adjacent
+    roots D n and D n + 1, with a root of J' strictly between them.  "double": n twice next to
+    n + 1/D.  "edge": the integers -1 and m, m = +-2^k or a neighbour, so d = 1 and m is the
+    largest root of J, a bisection midpoint of its bound b or next to one, with |m| > b/8.
+    Half the time an irreducible quadratic factor adds irrational or complex roots, and with
+    them more roots of J' that are not integers.
+    """
+    D, n = rng.randint(2, 10**6), rng.randint(-50, 50)
+    if kind == "adjacent":
+        roots = [F(n), n + F(1, D)]
+    elif kind == "double":
+        roots = [F(n), F(n), n + F(1, D)]
+    else:
+        roots = [F(-1), F(rng.choice((-1, 1)) * (2 ** rng.randint(2, 60) + rng.randint(-1, 1)))]
+    poly = [F(rng.randint(1, 10**6), rng.randint(1, 10**6))]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, F(1)])
+    if rng.randint(0, 1):
+        t = rng.randint(1, 99)
+        poly = _poly_mul(poly, rng.choice([[-2 * t * t, 0, 1], [t, 1, 1]]))
+    return poly, sorted(roots)
+
+
+@pytest.mark.parametrize("kind", ["adjacent", "double", "edge"])
+def test_rational_roots_find_roots_where_rolle_brackets_can_fail(kind):
+    rng = random.Random(29)
+    for _ in range(150):
+        poly, roots = rolle_case(rng, kind)
+        d, J, b = cleared(poly)
+        integer_roots = [r * d for r in roots]
+        assert all(x.denominator == 1 and _poly_eval(J, x) == 0 for x in integer_roots)
+        if kind == "edge":
+            assert 8 * max(map(abs, integer_roots)) > b
+        else:
+            assert integer_roots[-1] - integer_roots[-2] == 1
+        assert _rational_roots(poly) == roots
+
+
+def test_brackets_hold_floor_and_ceil_of_every_real_root():
+    # non-monic int polynomials (the derivatives are), with roots clustered in one unit gap, at
+    # adjacent integers, repeated, and in the last unit below the bound
+    rng = random.Random(31)
+    for _ in range(300):
+        base = rng.randint(-20, 20)
+        roots = [base + F(rng.randint(0, 7), rng.randint(1, 7)) for _ in range(rng.randint(1, 5))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))
+        poly, moduli = [rng.choice((-1, 1)) * rng.randint(1, 5)], [abs(r) for r in roots]
+        for r in roots:
+            poly = _poly_mul(poly, [-r.numerator, r.denominator])
+        real = list(roots)
+        if rng.randint(0, 1):
+            t = rng.randint(1, 30)
+            if rng.randint(0, 1):
+                poly = _poly_mul(poly, [-2 * t * t, 0, 1])  # +-t sqrt 2
+                real += [F(isqrt(2 * t * t)) + F(1, 2), -F(isqrt(2 * t * t)) - F(1, 2)]  # same floor and ceil
+                moduli.append(F(isqrt(2 * t * t) + 1))
+            else:
+                poly = _poly_mul(poly, [t, 1, 1])  # complex, |z| = sqrt t
+                moduli.append(F(isqrt(t) + 1))
+        b = floor(max(moduli)) + 1  # the largest root lies in the last unit below b
+        brackets = _brackets(poly, b)
+        assert brackets == sorted(set(brackets)) and all(-b <= x <= b for x in brackets)
+        for r in real:
+            assert floor(r) in brackets and ceil(r) in brackets, (poly, b, r)
 
 
 @pytest.mark.parametrize(

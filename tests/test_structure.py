@@ -217,6 +217,19 @@ def test_cyclic_criterion(cyclic_system):
     assert not cyclic_criterion(collide)
 
 
+def test_cyclic_criterion_refuses_a_zero_component_known_below_its_exponent():
+    rep = RepData.make([0, F(5, 6)])
+    with pytest.raises(InsufficientTruncation):
+        cyclic_criterion(VVMF.make(0, rep, [QExpansion.one(0), QExpansion.zero(0)]))
+    # a component that proves False still decides, whatever the other one
+    assert not cyclic_criterion(VVMF.make(0, rep, [QExpansion.zero(0), QExpansion.zero(0)]))
+
+
+def test_cyclic_criterion_reads_a_zero_component_known_through_its_exponent():
+    rep = RepData.make([0, F(5, 6)])
+    assert not cyclic_criterion(VVMF.make(0, rep, [QExpansion.one(1), QExpansion.zero(1)]))
+
+
 def test_free_basis_negative_k0():
     # exponents 0, 1/12, 2/12 give k0 = -1: generators of weight -1, 1, 3
     eq = mlde_from_exponents([0, F(1, 12), F(2, 12)])

@@ -49,16 +49,18 @@ def reference_from_qexpansion(f, weight, terms):
     """The elimination against the monomial columns Q^u R^v, with its checks in the same order."""
     basis = monomial_basis(weight)
     d = len(basis)
-    if f.is_zero:
-        return PolynomialQR.zero(weight)
     if not d:
+        if f.is_zero:
+            return PolynomialQR.zero(weight)
         raise NotInM("M_w is zero")
     if terms + 1 < d:
         raise AmbiguousTruncation("too few coefficients")
-    if f.leading.denominator != 1 or f.leading < 0:
+    if not f.is_zero and (f.leading.denominator != 1 or f.leading < 0):
         raise NotInM("leading exponent")
     if f.horizon < terms:
         raise AmbiguousTruncation("too short")
+    if f.is_zero:
+        return PolynomialQR.zero(weight)
     a = list(zip(*(to_qexpansion(PolynomialQR.monomial(u, v), terms).nums for u, v in basis)))
     x = reference_solve(a, [f.coefficient(n) for n in range(terms + 1)])
     if x is None:
