@@ -27,10 +27,9 @@ the theta-form cache, so the levels D^j of the equation's weight are
 already built, as for an op whose weight and N an earlier op has met.  For
 the first set of each order at the same N's, ``theta_form cold`` and
 ``theta_form warm`` time ``_theta_form`` alone the same two ways; the form
-must act on eta like the sum of c_j D^j with every D one
-``serre_derivative``.  A tree whose ``_theta_form`` rebuilds its tower on
-every call has no ``_serre_tower``, and there both rows time the same
-build.  For every set of both tables it times
+must act on eta like the sum of c_j D^j with every D the series
+arithmetic theta f + k P f (not ``serre_derivative``, which reads the same
+tower).  For every set of both tables it times
 ``mlde_from_exponents`` alone (the theta-form's constant terms, the oracle
 of the indicial polynomial, must vanish at every exponent) and
 ``indicial_polynomial`` alone (its roots must be the set; it reads the
@@ -39,7 +38,8 @@ form and the root search).  ``indicial (large denominator)`` times it on
 the order-3 equation of ``large_denominator_equation``, whose constants
 have a 61-bit denominator and whose one rational root is 1000/1000003.
 Last, ``serre_derivative`` of eta^13 at weight 13/2, which must vanish, at
-N 176 and 512.
+N 176 and 512: warm, and ``cold`` with the Serre tower's levels emptied
+before every call, so the one-time build of level 1 is timed too.
 
     PYTHONPATH=TREE/src python3 bench/frobenius_scaling.py --tower-memory
 
@@ -92,18 +92,19 @@ def clear_forms(tower):
     from modforms import classical
 
     classical._theta_form.cache_clear()
-    if tower and hasattr(classical, "_serre_tower"):
+    if tower:
         classical._serre_tower.cache_clear()
 
 
 def acts_like_chained_derivatives(form, equation, n):
-    """Whether the theta-form acts on eta like sum_j c_j D^j, with every D one serre_derivative."""
-    from modforms.classical import _apply_theta_form, eta_power, serre_derivative, to_qexpansion
+    """Whether the theta-form acts on eta like sum_j c_j D^j, with every D f = theta f + k P f in series arithmetic."""
+    from modforms.classical import _apply_theta_form, eisenstein, eta_power, to_qexpansion
 
     f = eta_power(1, n)
+    p = eisenstein("P", n)
     powers = [f]
     for j in range(equation.order):
-        powers.append(serre_derivative(powers[-1], equation.weight + 2 * j))
+        powers.append(powers[-1].theta() + (p * powers[-1]).scale(equation.weight + 2 * j))
     want = functools.reduce(add, (to_qexpansion(c, n) * powers[j] for j, c in equation.to_skew().terms))
     return _apply_theta_form(*form, f) == want
 
@@ -227,6 +228,12 @@ def cases():
     for n in SERRE_SIZES:
         f = eta_power(13, n)
         yield Case(f"serre_derivative eta^13 N{n}", lambda: serre_derivative(f, Fraction(13, 2)), check=lambda out: out.is_zero)
+        yield Case(
+            f"serre_derivative eta^13 cold N{n}",
+            lambda: serre_derivative(f, Fraction(13, 2)),
+            check=lambda out: out.is_zero,
+            before=functools.partial(clear_forms, True),
+        )
 
 
 def tower_memory():

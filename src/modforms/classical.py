@@ -11,9 +11,11 @@ the integer series Q^u R^v (`_monomial`), and the Serre derivative
 
 which raises weight by 2.  P is the weight-2 quasimodular series
 -1/12 + 2*sum_n sigma_1(n) q^n; this normalization is the one pinned down
-by the identities D(Delta) = 0 and D(eta^2k) = 0.  Every operator of M[d]
-acts through one integer theta-form sum_l h_l theta^l (`_theta_form`), a
-sum over the cached Serre tower levels D^j of its weight (`_serre_tower`).
+by the identities D(Delta) = 0 and D(eta^2k) = 0.  The Serre step is
+written once, in the cached Serre tower levels D^j of each weight
+(`_serre_tower`): `serre_derivative` applies level 1, and every operator of
+M[d] acts through one integer theta-form sum_l h_l theta^l (`_theta_form`),
+a sum over the levels of its weight.
 """
 
 from __future__ import annotations
@@ -350,20 +352,13 @@ def _theta_form(terms, k, n: int) -> tuple[int, tuple]:
 def serre_derivative(f: QExpansion, k, terms: int | None = None) -> QExpansion:
     """D(f) = theta(f) + k P f, with f regarded at weight k; raises weight by 2.
 
-    With k = k_num / k_den the operator is (k_num 12P + 12 k_den theta) /
-    (12 k_den), and P holds the integers 12P: one integer multiply.
+    D is level 1 of the Serre tower at weight k, (k_num 12P + 12 k_den
+    theta) / (12 k_den), read from `_serre_tower` and applied once.
     """
     k = _coerce(k)
-    p12 = eisenstein("P", f.truncation_order).nums
     if terms is not None and terms < f.truncation_order:
         f = f.truncate(terms)
-    n, scale = len(f.nums), 12 * k.denominator
-    # One level, written here rather than read from `_serre_tower`: through
-    # `_theta_form` a call took 161 (level built) or 125 (level cached) instead
-    # of 90 us at N 64, 420 or 356 instead of 277 us at N 176 (E4 at weight 4,
-    # best of 300; 2-core x86_64 VM, Python 3.11).
-    h = (list(map(mul, repeat(k.numerator), p12[:n])), [scale] + [0] * (n - 1))
-    return _apply_theta_form(scale, h, f)
+    return _apply_theta_form(*_serre_tower(k, 1, f.truncation_order), f)
 
 
 def serre_derivative_poly(m: PolynomialQR) -> PolynomialQR:

@@ -63,6 +63,10 @@ def _brackets(poly: list, b: int) -> list:
     """
     if len(poly) < 2:
         return []
+    if len(poly) == 2:
+        # one root, -poly[0] / poly[1]: its floor and the next int, so no bisection
+        x = -poly[0] // poly[1]
+        return [x, x + 1]
     ends = sorted({-b, b, *_brackets([i * c for i, c in enumerate(poly)][1:], b)})
     values = [_poly_eval(poly, x) for x in ends]
     out = set()

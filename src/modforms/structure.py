@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
-from .classical import _collect, _monomial, monomial_basis
+from .classical import _collect, _monomial, dim_M, monomial_basis
 from .errors import DependentGenerators, InsufficientTruncation, NonIntegralWeight, NotIndecomposable, OutOfRange, Record
 from .qseries import _int_product
 
@@ -94,15 +94,20 @@ def _ps_coefficients(ps: PoincareSeries, lo: int, hi: int) -> list:
     """The coefficients of t^lo..t^hi, in one pass over the weights.
 
     Multiplying by the denominator gives a_w = N_w + a_(w-4) + a_(w-6) - a_(w-10),
-    every a_w below the lowest weight being 0.  Like `ps_coefficient`, it
-    rejects a negative lo below the lowest generator weight.
+    every a_w below the lowest weight being 0.  The pass starts at the lowest
+    weight, or, when that lies more than 10 below lo, at lo with the ten
+    values before it seeded from a_w = sum_e N_e dim M_(w-e), so the cost
+    follows hi - lo, not hi - lowest.  Like `ps_coefficient`, it rejects a
+    negative lo below the lowest generator weight.
     """
     lowest = ps.numerator[0][0] if ps.numerator else 0
     if lo < min(lowest, 0):
         raise ValueError(f"weight {lo} is below every generator weight")
     num = dict(ps.numerator)
-    start = min(lo, *num) if num else lo
-    a = [0] * 10
+    if lowest < lo - 10:
+        start, a = lo, [sum(c * dim_M(w - e) for e, c in num.items() if (w - e) % 2 == 0) for w in range(lo - 10, lo)]
+    else:
+        start, a = min(lo, lowest), [0] * 10
     for w in range(start, hi + 1):
         a.append(num.get(w, 0) + a[-4] + a[-6] - a[-10])
     return a[10 + lo - start :]

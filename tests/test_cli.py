@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -298,6 +299,19 @@ def test_bad_terms_env_var_is_a_json_error(capsys, monkeypatch):
 def test_poincare_rejects_non_integers(capsys, argv):
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModformError"
+
+
+def test_poincare_far_below_the_requested_weights(capsys):
+    # a generator at -10^12: the coefficients of t^0..t^8 come without a pass up from -10^12
+    start = time.perf_counter()
+    assert main(["poincare", f"--weights={-(10**12)},4", "--upto", "8"]) == 0
+    assert time.perf_counter() - start < 1
+    coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+    # 10^12 = 4 mod 12, so dim M_(10^12 + w) = (10^12 + w) // 12 + 1 for w = 0, 2, 4, 6, 8
+    expected = {w: (10**12 + w) // 12 + 1 for w in range(0, 9, 2)}
+    expected[4] += 1  # t^4 itself
+    expected[8] += 1  # Q t^4
+    assert coefficients == {str(w): expected.get(w, 0) for w in range(9)}
 
 
 @pytest.mark.parametrize("value", ["4", "4,2,1"])

@@ -41,6 +41,7 @@ from modforms.mlde import (
     weight_relation_check,
 )
 from modforms.qseries import QExpansion, _int_product
+from modforms.vvmf import serre_vvmf
 
 F = Fraction
 
@@ -565,8 +566,11 @@ def test_tower_levels_are_shared_across_systems():
     assert first.weight == second.weight == 4
     _serre_tower.cache_clear()
     _theta_form.cache_clear()
-    fundamental_system(first, 20)
+    system = fundamental_system(first, 20)
     assert _serre_tower.cache_info().misses == 3  # D^0, D^1 and D^2 at weight 4 and N 20, each once
+    hits = _serre_tower.cache_info().hits
+    serre_vvmf(system)  # D of each component is level (4, 1, 20), which the solve built
+    assert _serre_tower.cache_info().misses == 3 and _serre_tower.cache_info().hits == hits + 2
     fundamental_system(second, 20)
     assert _serre_tower.cache_info().misses == 3 and _serre_tower.cache_info().currsize == 3
     assert _theta_form.cache_info().misses == 2  # still one form per system

@@ -11,12 +11,12 @@ from modforms.classical import (
     eisenstein,
     from_qexpansion,
     monomial_basis,
-    serre_derivative,
     serre_derivative_poly,
     to_qexpansion,
 )
 from modforms.qseries import QExpansion
 from modforms.skew import SkewPolynomial, d
+from test_classical import theta_plus_kpf
 
 F = Fraction
 
@@ -117,7 +117,11 @@ def test_weight_bookkeeping_lands_in_M():
 # -- apply through the theta-form against the Serre tower it replaced --
 
 def tower_apply(op, f, k, terms=None):
-    """Reference: apply as it was before the theta-form, p Serre derivatives and a product per term."""
+    """Reference: apply as it was before the theta-form, p Serre derivatives and a product per term.
+
+    Each Serre derivative is theta f + k P f in series arithmetic, not `serre_derivative`, which
+    reads the Serre tower that apply's theta-form is summed from.
+    """
     if terms is None:
         terms = f.truncation_order
     f = f.truncate(min(terms, f.truncation_order))
@@ -126,7 +130,7 @@ def tower_apply(op, f, k, terms=None):
     tower = {0: f}
     weight = Fraction(k)
     for j in range(1, op.order() + 1):
-        tower[j] = serre_derivative(tower[j - 1], weight + 2 * (j - 1))
+        tower[j] = theta_plus_kpf(tower[j - 1], weight + 2 * (j - 1))
     acc = None
     for power, coeff in op.terms:
         piece = to_qexpansion(coeff, terms) * tower[power]

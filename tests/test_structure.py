@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
@@ -92,6 +93,45 @@ def test_one_pass_coefficients_match_each_weight():
     # a generator below weight 0 (k_0 < 0) starts the pass there
     ps = ps_from_weights([-2, 0, 5])
     assert _ps_coefficients(ps, -2, 60) == [ps_coefficient(ps, w) for w in range(-2, 61)]
+
+
+def reference_coefficients(ps, lo, hi):
+    """a_w for w in lo..hi by the plain recurrence, run from the lowest weight."""
+    num = dict(ps.numerator)
+    start = min([lo, *num])
+    a = [0] * 10
+    for w in range(start, hi + 1):
+        a.append(num.get(w, 0) + a[-4] + a[-6] - a[-10])
+    return a[10 + lo - start :]
+
+
+def test_far_window_matches_the_recurrence_from_the_lowest_weight():
+    # a lo more than 10 above the lowest weight seeds its window from dim M instead of running up to it
+    rng = random.Random(27)
+    for _ in range(400):
+        ps = PoincareSeries.make({rng.randint(-60, 60): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))})
+        lowest = ps.numerator[0][0] if ps.numerator else 0
+        lo = rng.randint(min(lowest, 0), 90)
+        hi = lo + rng.randint(-1, 30)
+        assert _ps_coefficients(ps, lo, hi) == reference_coefficients(ps, lo, hi), (ps, lo, hi)
+
+
+def test_ps_coefficient_far_above_the_lowest_weight():
+    # the pass starts near w, not at -10^12: a pass from there would not end
+    ps = ps_from_weights([-(10**12), 4])
+    start = time.perf_counter()
+    # dim M_(10^12 + 8) = (10^12 + 8)/12 + 1, since 10^12 + 8 = 0 mod 12; dim M_4 = 1
+    assert ps_coefficient(ps, 8) == (10**12 + 8) // 12 + 1 + 1
+    assert ps_coefficient(ps, 7) == 0
+    assert _ps_coefficients(ps, 0, 8) == [dim_M(w + 10**12) + dim_M(w - 4) if w % 2 == 0 else 0 for w in range(9)]
+    assert time.perf_counter() - start < 1
+
+
+def test_a_pass_from_the_lowest_weight_reads_no_dim_M(monkeypatch):
+    # the free_basis and CLI ranges start within 10 of the lowest weight, so they only run the recurrence
+    monkeypatch.setattr("modforms.structure.dim_M", None)
+    for ps, lo in ((ps_cyclic(4, 2), 0), (ps_from_weights([-1, 1]), -1), (ps_from_weights([-11, 1]), -1)):
+        assert _ps_coefficients(ps, lo, 120) == reference_coefficients(ps, lo, 120)
 
 
 def test_character_module():
