@@ -308,11 +308,12 @@ def _serre_tower(k, j: int, n: int) -> tuple[int, tuple]:
     Level j is the Serre step D = theta + w P, w = k + 2(j - 1), on level
     j - 1: with a = 12 den(w) and b = num(w), row_l -> a theta(row_l) +
     b (12P row_l) + a row_{l-1} and den -> a den.  Keyed on (k, j, n) like
-    `_monomial`, so the operators of one weight and truncation share a level.
+    `_monomial`, so the operators of one weight and truncation share a level;
+    level 0 is the unit row `_monomial(0, 0, n)`, one per n for every weight.
     """
-    zero = (0,) * (n + 1)
     if not j:
-        return 1, ((1, *zero[1:]),)
+        return 1, (_monomial(0, 0, n),)
+    zero = (0,) * (n + 1)
     den, rows = _serre_tower(k, j - 1, n)
     w = k + 2 * (j - 1)
     a, b = 12 * w.denominator, w.numerator

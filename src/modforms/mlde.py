@@ -52,7 +52,7 @@ from .vvmf import VVMF, RepData
 def _brackets(poly: list, b: int) -> list:
     """Sorted ints holding floor(x) and ceil(x) of every real root x of the int polynomial poly.
 
-    Every complex root of poly must lie in |z| < b.  By Gauss-Lucas the roots
+    poly has degree at least 1, and every complex root of it must lie in |z| < b.  By Gauss-Lucas the roots
     of poly' lie in the convex hull of poly's, so the same b bounds them.  No
     root of poly' lies strictly between two of its brackets that are two or
     more apart, so poly is monotone there (Rolle): it has a root only where
@@ -61,8 +61,6 @@ def _brackets(poly: list, b: int) -> list:
     So every bracket has a neighbour, and a root of poly at a bracket of
     poly' is the end of a gap of one.
     """
-    if len(poly) < 2:
-        return []
     if len(poly) == 2:
         # one root, -poly[0] / poly[1]: its floor and the next int, so no bisection
         x = -poly[0] // poly[1]

@@ -94,23 +94,19 @@ def _ps_coefficients(ps: PoincareSeries, lo: int, hi: int) -> list:
     """The coefficients of t^lo..t^hi, in one pass over the weights.
 
     Multiplying by the denominator gives a_w = N_w + a_(w-4) + a_(w-6) - a_(w-10),
-    every a_w below the lowest weight being 0.  The pass starts at the lowest
-    weight, or, when that lies more than 10 below lo, at lo with the ten
-    values before it seeded from a_w = sum_e N_e dim M_(w-e), so the cost
-    follows hi - lo, not hi - lowest.  Like `ps_coefficient`, it rejects a
-    negative lo below the lowest generator weight.
+    every a_w below the lowest weight being 0.  The pass starts at lo, the ten
+    values before it seeded from a_w = sum_e N_e dim M_(w-e) (0 where w - e is
+    odd or negative), so the cost follows hi - lo, not hi - lowest.  Like
+    `ps_coefficient`, it rejects a negative lo below the lowest generator weight.
     """
     lowest = ps.numerator[0][0] if ps.numerator else 0
     if lo < min(lowest, 0):
         raise ValueError(f"weight {lo} is below every generator weight")
     num = dict(ps.numerator)
-    if lowest < lo - 10:
-        start, a = lo, [sum(c * dim_M(w - e) for e, c in num.items() if (w - e) % 2 == 0) for w in range(lo - 10, lo)]
-    else:
-        start, a = min(lo, lowest), [0] * 10
-    for w in range(start, hi + 1):
+    a = [sum(c * dim_M(w - e) for e, c in num.items() if w >= e and (w - e) % 2 == 0) for w in range(lo - 10, lo)]
+    for w in range(lo, hi + 1):
         a.append(num.get(w, 0) + a[-4] + a[-6] - a[-10])
-    return a[10 + lo - start :]
+    return a[10:]
 
 
 def character_module(k0: int):

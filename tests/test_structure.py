@@ -106,7 +106,7 @@ def reference_coefficients(ps, lo, hi):
 
 
 def test_far_window_matches_the_recurrence_from_the_lowest_weight():
-    # a lo more than 10 above the lowest weight seeds its window from dim M instead of running up to it
+    # the window seeded from dim M at lo, below, at or far above the lowest weight, against the full pass
     rng = random.Random(27)
     for _ in range(400):
         ps = PoincareSeries.make({rng.randint(-60, 60): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))})
@@ -125,13 +125,6 @@ def test_ps_coefficient_far_above_the_lowest_weight():
     assert ps_coefficient(ps, 7) == 0
     assert _ps_coefficients(ps, 0, 8) == [dim_M(w + 10**12) + dim_M(w - 4) if w % 2 == 0 else 0 for w in range(9)]
     assert time.perf_counter() - start < 1
-
-
-def test_a_pass_from_the_lowest_weight_reads_no_dim_M(monkeypatch):
-    # the free_basis and CLI ranges start within 10 of the lowest weight, so they only run the recurrence
-    monkeypatch.setattr("modforms.structure.dim_M", None)
-    for ps, lo in ((ps_cyclic(4, 2), 0), (ps_from_weights([-1, 1]), -1), (ps_from_weights([-11, 1]), -1)):
-        assert _ps_coefficients(ps, lo, 120) == reference_coefficients(ps, lo, 120)
 
 
 def test_character_module():
